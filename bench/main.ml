@@ -135,6 +135,11 @@ let bechamel_suite ?filter ?json_path (ctx : Experiments.ctx) =
   let candidates = lazy (Emc_doe.Doe.lhs rng space 200) in
   let prog = lazy (Measure.compile ctx.measure gzip Emc_opt.Flags.o2 ~issue_width:4) in
   let arrays = lazy (gzip.Workload.arrays ~scale:0.05 ~variant:Workload.Train) in
+  let mcf = Registry.find "mcf" in
+  let mcf_prog = lazy (Measure.compile ctx.measure mcf Emc_opt.Flags.o2 ~issue_width:4) in
+  let mcf_arrays =
+    lazy (mcf.Workload.arrays ~scale:Scale.tiny.Scale.workload_scale ~variant:Workload.Train)
+  in
   let art =
     lazy
       (match
@@ -298,6 +303,16 @@ let bechamel_suite ?filter ?json_path (ctx : Experiments.ctx) =
               let ooo = Emc_sim.Ooo.create march prog in
               Emc_core.Measure.setup_func arrays (Emc_sim.Ooo.func ooo);
               Emc_sim.Ooo.run_detailed ooo ~instrs:50_000) );
+      (* the fixed cost every SMARTS attempt pays before its first
+         instruction: build the machine, load mcf's inputs (tiny scale),
+         hand the image back as Smarts does *)
+      ( "measure/simulate-setup-mcf",
+        fun () ->
+          let prog = Lazy.force mcf_prog and arrays = Lazy.force mcf_arrays in
+          Staged.stage (fun () ->
+              let ooo = Emc_sim.Ooo.create march prog in
+              Emc_core.Measure.setup_func arrays (Emc_sim.Ooo.func ooo);
+              Emc_sim.Func.release (Emc_sim.Ooo.func ooo)) );
       ( "measure/simulate-warming-50k",
         fun () ->
           let prog = Lazy.force prog and arrays = Lazy.force arrays in

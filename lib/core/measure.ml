@@ -232,9 +232,28 @@ let setup_func arrays (f : Emc_sim.Func.t) =
   List.iter
     (fun (name, data) ->
       match data with
-      | Workload.DInt a -> Array.iteri (fun i v -> Emc_sim.Func.set_global_int f name i v) a
-      | Workload.DFloat a -> Array.iteri (fun i v -> Emc_sim.Func.set_global_float f name i v) a)
+      | Workload.DInt a -> Emc_sim.Func.load_global_ints f name a
+      | Workload.DFloat a -> Emc_sim.Func.load_global_floats f name a)
     arrays
+
+(* Input generation is deterministic in (workload, variant, scale), and
+   measurements come in batches over one workload and variant (a dataset,
+   a search's evaluations): the last input set generated is kept, so a
+   batch generates once and every simulation after that only blits. One
+   slot per process rather than a table per [t], so a caller that keeps
+   many [t]s alive, or walks every workload, retains one input set. The
+   arrays are never written — [setup_func] copies them into the image. *)
+let last_inputs : (Workload.t * Workload.variant * float * (string * Workload.data) list) option ref =
+  ref None
+
+let inputs t (w : Workload.t) ~variant =
+  let scale = t.scale.Scale.workload_scale in
+  match !last_inputs with
+  | Some (w', v', s', arrays) when w' == w && v' = variant && Float.equal s' scale -> arrays
+  | _ ->
+      let arrays = w.arrays ~scale ~variant in
+      last_inputs := Some (w, variant, scale, arrays);
+      arrays
 
 (** Which system response to model. The paper's evaluation uses execution
     time; §2.2 points out the same machinery fits power consumption or code
@@ -266,8 +285,7 @@ let run_sim t (w : Workload.t) ~variant (flags : Emc_opt.Flags.t) (march : Emc_s
     "measure"
     (fun () ->
       let prog = compile t w flags ~issue_width:march.issue_width in
-      let arrays = w.arrays ~scale:t.scale.Scale.workload_scale ~variant in
-      let setup = setup_func arrays in
+      let setup = setup_func (inputs t w ~variant) in
       let t0 = Unix.gettimeofday () in
       let r =
         Trace.with_span ~cat:"sim" "simulate" (fun () ->
@@ -398,6 +416,8 @@ let respond_many ?(response = Cycles) t (w : Workload.t) ~variant
         Array.map (fun (f, m) -> respond ~response t w ~variant f m) pairs
       else begin
         compile_work ();
+        (* generated once here, inherited by every forked worker *)
+        ignore (inputs t w ~variant);
         let sims =
           Trace.with_span ~cat:"measure"
             ~args:(fun () ->

@@ -79,7 +79,8 @@ val compile :
 (** Memoized compilation of a workload at given flags/machine width. *)
 
 val setup_func : (string * Emc_workloads.Workload.data) list -> Emc_sim.Func.t -> unit
-(** Write a workload's input arrays into a functional simulator's memory. *)
+(** Write a workload's input arrays into a functional simulator's memory,
+    one blit per array. The arrays are only read. *)
 
 (** Which system response to model: the paper's evaluation uses execution
     time; §2.2 notes power and code size fit the same machinery. One

@@ -233,7 +233,10 @@ let find_head_end s =
 
 let parse_request ?(max_header = 16 * 1024) ?(max_body = 1024 * 1024) s =
   match find_head_end s with
-  | None -> if String.length s > max_header then Invalid (Too_large "headers") else Incomplete
+  | None ->
+      (* a terminator starting at [max_header] is still within the cap, and
+         its last three bytes may not have arrived yet *)
+      if String.length s > max_header + 3 then Invalid (Too_large "headers") else Incomplete
   | Some i -> (
       if i > max_header then Invalid (Too_large "headers")
       else

@@ -47,15 +47,42 @@ type t = {
   scratch : dynbuf;  (** backs the boxed {!step} wrapper *)
 }
 
+(* The memory image is by far the largest allocation of a simulation (two
+   arrays of [Memlayout.mem_words] words: 8.5 MB for mcf), and SMARTS builds
+   a fresh machine for every attempt. Each domain keeps one spare image: a
+   finished run hands its image back with {!release}, and the next {!create}
+   of the same size clears and reuses it instead of allocating. A spare of
+   another size is dropped. The spare is held weakly, so once simulation
+   stops the GC reclaims it rather than keeping 8.5 MB live through the
+   phases that follow (fitting, search, forking daemons). Within a burst of
+   simulations the next attempt takes it back microseconds after its
+   release, so a major cycle rarely gets the chance.
+   Images always live in the major heap (the stack region alone is far
+   above the minor-heap size limit), so minor collections never clear it. *)
+let spare : (int array Weak.t * float array Weak.t) Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> (Weak.create 1, Weak.create 1))
+
+let take_image words =
+  let ispare, fspare = Domain.DLS.get spare in
+  let recycled = (Weak.get ispare 0, Weak.get fspare 0) in
+  Weak.set ispare 0 None;
+  Weak.set fspare 0 None;
+  match recycled with
+  | Some imem, Some fmem when Array.length imem = words ->
+      Array.fill imem 0 words 0;
+      Array.fill fmem 0 words 0.0;
+      (imem, fmem)
+  | _ -> (Array.make words 0, Array.make words 0.0)
+
 let create (prog : Isa.program) =
-  let words = Emc_ir.Memlayout.mem_words prog.Isa.layout in
+  let imem, fmem = take_image (Emc_ir.Memlayout.mem_words prog.Isa.layout) in
   let t =
     {
       prog;
       regs = Array.make 32 0;
       fregs = Array.make 32 0.0;
-      imem = Array.make words 0;
-      fmem = Array.make words 0.0;
+      imem;
+      fmem;
       pc = prog.Isa.entry;
       halted = false;
       icount = 0;
@@ -73,8 +100,22 @@ let word addr =
   if addr land 7 <> 0 then raise (Trap (Emc_ir.Trap.Unaligned_access addr));
   addr lsr 3
 
-let set_global_int t name idx v = t.imem.(word (Isa.global_base t.prog name + (idx * 8))) <- v
-let set_global_float t name idx v = t.fmem.(word (Isa.global_base t.prog name + (idx * 8))) <- v
+(** Offer [t]'s memory image to the next {!create} on this domain (unless
+    the GC reclaims it first). [t] must not be used afterwards: its memory
+    is cleared and handed to another machine from then on. *)
+let release t =
+  let ispare, fspare = Domain.DLS.get spare in
+  Weak.set ispare 0 (Some t.imem);
+  Weak.set fspare 0 (Some t.fmem)
+
+(** Copy [a] into global [name] starting at element 0 — the bulk input
+    loader, one base lookup and one blit per array. *)
+let load_global_ints t name (a : int array) =
+  Array.blit a 0 t.imem (word (Isa.global_base t.prog name)) (Array.length a)
+
+let load_global_floats t name (a : float array) =
+  Array.blit a 0 t.fmem (word (Isa.global_base t.prog name)) (Array.length a)
+
 let get_global_int t name idx = t.imem.(word (Isa.global_base t.prog name + (idx * 8)))
 let get_global_float t name idx = t.fmem.(word (Isa.global_base t.prog name + (idx * 8)))
 

@@ -45,9 +45,11 @@ module Log = Emc_obs.Log
 module Trace = Emc_obs.Trace
 
 let m_runs = Metrics.counter "sim.runs"
+let m_attempts = Metrics.counter "smarts.attempts"
 let m_full_runs = Metrics.counter "smarts.full_runs"
 let m_sampled_runs = Metrics.counter "smarts.sampled_runs"
 let m_refinements = Metrics.counter "smarts.refinements"
+let m_target_missed = Metrics.counter "smarts.target_missed"
 let m_fallbacks = Metrics.counter "smarts.fallback_to_full"
 let h_ci = Metrics.histogram "smarts.ci_rel"
 let g_ci = Metrics.gauge "smarts.last_ci_rel"
@@ -58,15 +60,20 @@ let h_units = Metrics.histogram "smarts.sampled_units"
    lookup for all 14 handles on every simulation showed up in profiles of
    GA searches, which complete thousands of short sampled runs. *)
 let sim_handles : Metrics.counter list ref = ref []
+let total_handles : Metrics.counter list ref = ref []
+
+let add_counters handles suffix ooo =
+  let cs = Ooo.counters ooo in
+  if !handles = [] then handles := List.map (fun (k, _) -> Metrics.counter ("sim." ^ k ^ suffix)) cs;
+  List.iter2 (fun (_, v) h -> Metrics.add h v) cs !handles
 
 (* Fold one finished run's simulator counters into the global registry and
-   record the sampling quality actually achieved. *)
+   record the sampling quality actually achieved. [sim.<key>] counts the
+   kept run only; [sim.<key>_total] (see {!with_machine}) counts every
+   attempt, discarded refinements included. *)
 let record_run ooo (r : result) =
   Metrics.incr m_runs;
-  let cs = Ooo.counters ooo in
-  if !sim_handles = [] then
-    sim_handles := List.map (fun (k, _) -> Metrics.counter ("sim." ^ k)) cs;
-  List.iter2 (fun (_, v) h -> Metrics.add h v) cs !sim_handles;
+  add_counters sim_handles "" ooo;
   Metrics.observe h_ci r.ci_rel;
   Metrics.set g_ci r.ci_rel;
   if not r.detailed then Metrics.observe h_units (float_of_int r.sampled_units);
@@ -82,28 +89,48 @@ let record_run ooo (r : result) =
     (if r.detailed then "detailed" else "sampled")
     r.cpi
 
+(* Build a machine, load its inputs, and run [f] on it. The machine's
+   memory image goes back to [Func]'s spare when [f] returns or raises, so
+   the next attempt reuses it instead of allocating. Every attempt that
+   finishes counts into [smarts.attempts] and [sim.<key>_total]. *)
+let with_machine cfg prog ~setup f =
+  let built = ref None in
+  Fun.protect
+    ~finally:(fun () -> Option.iter (fun ooo -> Func.release (Ooo.func ooo)) !built)
+    (fun () ->
+      let ooo =
+        Trace.with_span ~cat:"sim" "sim.setup" (fun () ->
+            let ooo = Ooo.create cfg prog in
+            built := Some ooo;
+            setup (Ooo.func ooo);
+            ooo)
+      in
+      let r = f ooo in
+      Metrics.incr m_attempts;
+      add_counters total_handles "_total" ooo;
+      r)
+
 let run_full (cfg : Config.t) (prog : Emc_isa.Isa.program)
     ~(setup : Func.t -> unit) : result =
   Trace.with_span ~cat:"sim" "smarts.run_full" (fun () ->
-      let ooo = Ooo.create cfg prog in
-      setup (Ooo.func ooo);
-      let cycles = Ooo.run_to_completion ooo in
-      let instrs = (Ooo.func ooo).Func.icount in
-      let r =
-        {
-          cycles = float_of_int cycles;
-          instrs;
-          cpi = float_of_int cycles /. float_of_int (max 1 instrs);
-          ci_rel = 0.0;
-          sampled_units = 0;
-          detailed = true;
-          energy = (Energy.estimate ooo ~cycles:(float_of_int cycles)).Energy.total;
-          static_instrs = Array.length prog.Emc_isa.Isa.insts;
-        }
-      in
-      Metrics.incr m_full_runs;
-      record_run ooo r;
-      r)
+      with_machine cfg prog ~setup (fun ooo ->
+          let cycles = Ooo.run_to_completion ooo in
+          let instrs = (Ooo.func ooo).Func.icount in
+          let r =
+            {
+              cycles = float_of_int cycles;
+              instrs;
+              cpi = float_of_int cycles /. float_of_int (max 1 instrs);
+              ci_rel = 0.0;
+              sampled_units = 0;
+              detailed = true;
+              energy = (Energy.estimate ooo ~cycles:(float_of_int cycles)).Energy.total;
+              static_instrs = Array.length prog.Emc_isa.Isa.insts;
+            }
+          in
+          Metrics.incr m_full_runs;
+          record_run ooo r;
+          r))
 
 let run_sampled ?(params = default_params) (cfg : Config.t) (prog : Emc_isa.Isa.program)
     ~(setup : Func.t -> unit) : result =
@@ -112,43 +139,74 @@ let run_sampled ?(params = default_params) (cfg : Config.t) (prog : Emc_isa.Isa.
       [ ("interval", Emc_obs.Json.Int interval); ("refinements", Emc_obs.Json.Int refinements) ]
     in
     Trace.with_span ~cat:"sim" ~args:span_args "smarts.attempt" (fun () ->
-        let ooo = Ooo.create cfg prog in
-        setup (Ooo.func ooo);
-        let unit_cpis = ref [] in
-        let unit_count = ref 0 in
-        while Ooo.busy ooo do
-          if !unit_count mod interval = interval - 1 then begin
-            (* detailed warm-up, then measure one unit *)
-            Ooo.run_detailed ooo ~instrs:params.warmup;
-            let c0 = ooo.Ooo.cycle and i0 = ooo.Ooo.detail_instrs in
-            Ooo.run_detailed ooo ~instrs:params.unit_size;
-            let di = ooo.Ooo.detail_instrs - i0 in
-            if di > params.unit_size / 2 then
-              unit_cpis := (float_of_int (ooo.Ooo.cycle - c0) /. float_of_int di) :: !unit_cpis;
-            (* discard in-flight timing state before switching to warming *)
-            Ooo.flush_timing ooo
-          end
-          else Ooo.run_warming ooo ~instrs:params.unit_size;
-          incr unit_count
-        done;
-        let cpis = Array.of_list !unit_cpis in
-        let n = Array.length cpis in
-        if n = 0 then begin
-          (* program too short for the sampling grid: no measured unit
-             survived — fall back to a fully detailed run *)
-          Metrics.incr m_fallbacks;
-          Log.info ~src:"smarts" "no sampled units at interval %d: falling back to full detail"
-            interval;
-          Trace.instant ~args:span_args "smarts.fallback_to_full";
-          run_full cfg prog ~setup
-        end
-        else begin
-          let mean = Emc_util.Stats.mean cpis in
-          let sd = Emc_util.Stats.sample_stddev cpis in
-          let ci = if n > 1 then 3.0 *. sd /. (sqrt (float_of_int n) *. mean) else 1.0 in
-          let instrs = (Ooo.func ooo).Func.icount in
-          if ci > params.target_ci && refinements < params.max_refinements && interval > 1
-          then begin
+        let outcome =
+          with_machine cfg prog ~setup (fun ooo ->
+              let unit_cpis = ref [] in
+              let unit_count = ref 0 in
+              while Ooo.busy ooo do
+                if !unit_count mod interval = interval - 1 then begin
+                  (* detailed warm-up, then measure one unit *)
+                  Ooo.run_detailed ooo ~instrs:params.warmup;
+                  let c0 = ooo.Ooo.cycle and i0 = ooo.Ooo.detail_instrs in
+                  Ooo.run_detailed ooo ~instrs:params.unit_size;
+                  let di = ooo.Ooo.detail_instrs - i0 in
+                  if di > params.unit_size / 2 then
+                    unit_cpis :=
+                      (float_of_int (ooo.Ooo.cycle - c0) /. float_of_int di) :: !unit_cpis;
+                  (* discard in-flight timing state before switching to warming *)
+                  Ooo.flush_timing ooo
+                end
+                else Ooo.run_warming ooo ~instrs:params.unit_size;
+                incr unit_count
+              done;
+              let cpis = Array.of_list !unit_cpis in
+              let n = Array.length cpis in
+              if n = 0 then `Fallback
+              else begin
+                let mean = Emc_util.Stats.mean cpis in
+                let sd = Emc_util.Stats.sample_stddev cpis in
+                let ci = if n > 1 then 3.0 *. sd /. (sqrt (float_of_int n) *. mean) else 1.0 in
+                let instrs = (Ooo.func ooo).Func.icount in
+                if ci > params.target_ci && refinements < params.max_refinements && interval > 1
+                then `Refine (ci, n)
+                else begin
+                  let cycles = mean *. float_of_int instrs in
+                  let r =
+                    {
+                      cycles;
+                      instrs;
+                      cpi = mean;
+                      ci_rel = ci;
+                      sampled_units = n;
+                      detailed = false;
+                      energy = (Energy.estimate ooo ~cycles).Energy.total;
+                      static_instrs = Array.length prog.Emc_isa.Isa.insts;
+                    }
+                  in
+                  Metrics.incr m_sampled_runs;
+                  if ci > params.target_ci then begin
+                    Metrics.incr m_target_missed;
+                    Log.info ~src:"smarts"
+                      ~fields:[ ("ci_rel", Emc_obs.Json.Float ci); ("units", Emc_obs.Json.Int n) ]
+                      "ci %.4f misses target %.4f at interval %d after %d refinements" ci
+                      params.target_ci interval refinements
+                  end;
+                  record_run ooo r;
+                  `Kept r
+                end
+              end)
+        in
+        match outcome with
+        | `Kept r -> r
+        | `Fallback ->
+            (* program too short for the sampling grid: no measured unit
+               survived — fall back to a fully detailed run *)
+            Metrics.incr m_fallbacks;
+            Log.info ~src:"smarts" "no sampled units at interval %d: falling back to full detail"
+              interval;
+            Trace.instant ~args:span_args "smarts.fallback_to_full";
+            run_full cfg prog ~setup
+        | `Refine (ci, n) ->
             Metrics.incr m_refinements;
             Log.debug ~src:"smarts"
               ~fields:[ ("ci_rel", Emc_obs.Json.Float ci); ("units", Emc_obs.Json.Int n) ]
@@ -159,26 +217,6 @@ let run_sampled ?(params = default_params) (cfg : Config.t) (prog : Emc_isa.Isa.
               ~args:(fun () ->
                 ("ci_rel", Emc_obs.Json.Float ci) :: span_args ())
               "smarts.refine";
-            attempt (max 1 (interval / 2)) (refinements + 1)
-          end
-          else begin
-            let cycles = mean *. float_of_int instrs in
-            let r =
-              {
-                cycles;
-                instrs;
-                cpi = mean;
-                ci_rel = ci;
-                sampled_units = n;
-                detailed = false;
-                energy = (Energy.estimate ooo ~cycles).Energy.total;
-                static_instrs = Array.length prog.Emc_isa.Isa.insts;
-              }
-            in
-            Metrics.incr m_sampled_runs;
-            record_run ooo r;
-            r
-          end
-        end)
+            attempt (max 1 (interval / 2)) (refinements + 1))
   in
   if params.interval <= 1 then run_full cfg prog ~setup else attempt params.interval 0

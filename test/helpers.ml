@@ -23,16 +23,6 @@ let set_interp_arrays st arrays =
           Array.iteri (fun i v -> Emc_ir.Interp.set_global_float st name i v) a)
     arrays
 
-let set_func_arrays f arrays =
-  List.iter
-    (fun (name, data) ->
-      match data with
-      | Emc_workloads.Workload.DInt a ->
-          Array.iteri (fun i v -> Emc_sim.Func.set_global_int f name i v) a
-      | Emc_workloads.Workload.DFloat a ->
-          Array.iteri (fun i v -> Emc_sim.Func.set_global_float f name i v) a)
-    arrays
-
 (** Run the IR interpreter on [src]'s main; returns (ret, outputs-as-strings). *)
 let interp ?(arrays = []) src =
   let ir = compile_ir src in
@@ -63,7 +53,7 @@ let machine ?(arrays = []) ?(flags = Emc_opt.Flags.o0) ?(issue_width = 4) src =
     else prog
   in
   let f = Emc_sim.Func.create prog in
-  set_func_arrays f arrays;
+  Emc_core.Measure.setup_func arrays f;
   ignore (Emc_sim.Func.run f);
   (Emc_sim.Func.return_value f, List.map fvalue_str (Emc_sim.Func.outputs f), prog)
 

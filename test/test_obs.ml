@@ -360,7 +360,7 @@ let test_smarts_refinement_fires () =
   let w = Emc_workloads.Registry.find "gzip" in
   let arrays = w.Emc_workloads.Workload.arrays ~scale:0.3 ~variant:Emc_workloads.Workload.Train in
   let _, _, prog = Helpers.machine ~flags:Emc_opt.Flags.o2 ~arrays w.Emc_workloads.Workload.source in
-  let setup f = Helpers.set_func_arrays f arrays in
+  let setup = Emc_core.Measure.setup_func arrays in
   let before = Option.value ~default:0 (Metrics.counter_value "smarts.refinements") in
   let r =
     Emc_sim.Smarts.run_sampled
@@ -380,6 +380,65 @@ let test_smarts_refinement_fires () =
     | None -> false);
   cb "run counter advanced" true
     (Option.value ~default:0 (Metrics.counter_value "sim.runs") >= 1)
+
+(* Discarded refinement attempts are real work: [sim.<key>_total] and
+   [smarts.attempts] count them, [sim.<key>] keeps counting only the kept
+   run. A forced single refinement at interval 16 costs exactly what the
+   two one-attempt runs at intervals 16 and 8 cost, and each attempt shows
+   its machine setup as a [sim.setup] span. *)
+let test_smarts_counts_discarded_work () =
+  let w = Emc_workloads.Registry.find "gzip" in
+  let arrays = w.Emc_workloads.Workload.arrays ~scale:0.3 ~variant:Emc_workloads.Workload.Train in
+  let _, _, prog = Helpers.machine ~flags:Emc_opt.Flags.o2 ~arrays w.Emc_workloads.Workload.source in
+  let setup = Emc_core.Measure.setup_func arrays in
+  let counter k = Option.value ~default:0 (Metrics.counter_value k) in
+  let delta keys f =
+    let before = List.map counter keys in
+    f ();
+    List.map2 (fun k b -> counter k - b) keys before
+  in
+  let run interval max_refinements () =
+    ignore
+      (Emc_sim.Smarts.run_sampled
+         ~params:
+           { Emc_sim.Smarts.default_params with interval; target_ci = 1e-6; max_refinements }
+         Emc_sim.Config.typical prog ~setup)
+  in
+  let kept interval = List.hd (delta [ "sim.cycles" ] (run interval 0)) in
+  let coarse = kept 16 and fine = kept 8 in
+  let file = Filename.temp_file "emc_trace" ".json" in
+  let d =
+    Fun.protect ~finally:(fun () -> Trace.disable ()) @@ fun () ->
+    Trace.enable file;
+    let d =
+      delta
+        [ "sim.cycles"; "sim.cycles_total"; "smarts.attempts"; "smarts.refinements";
+          "smarts.target_missed" ]
+        (run 16 1)
+    in
+    Trace.flush ();
+    d
+  in
+  let ic = open_in file in
+  let contents = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove file;
+  (match d with
+  | [ cycles; total; attempts; refinements; missed ] ->
+      ci "sim.cycles counts the kept attempt" fine cycles;
+      ci "sim.cycles_total sums both attempts" (coarse + fine) total;
+      ci "two attempts" 2 attempts;
+      ci "one refinement" 1 refinements;
+      ci "the kept run missed its target" 1 missed
+  | _ -> assert false);
+  let events =
+    match Json.member "traceEvents" (Json.parse_exn contents) with
+    | Some (Json.List l) -> l
+    | _ -> Alcotest.fail "traceEvents list missing"
+  in
+  let named n = List.filter (fun e -> Json.member "name" e = Some (Json.Str n)) events in
+  ci "one sim.setup span per attempt" 2 (List.length (named "sim.setup"));
+  ci "two attempt spans" 2 (List.length (named "smarts.attempt"))
 
 let suite =
   [
@@ -404,4 +463,6 @@ let suite =
       test_scale_warning_routed;
     Alcotest.test_case "smarts: refinement fires and is recorded" `Quick
       test_smarts_refinement_fires;
+    Alcotest.test_case "smarts: totals count discarded attempts" `Quick
+      test_smarts_counts_discarded_work;
   ]

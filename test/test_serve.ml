@@ -897,8 +897,76 @@ let test_hot_path_byte_identity () =
       done)
     requests
 
+(* ---------------- incremental parsing ---------------- *)
+
+(* The multiplexed server appends each read to a buffer and re-parses, so
+   where the socket happens to split a message must never matter: feeding
+   it in two pieces, at any split point, ends in what parsing it whole
+   gives — the same request, or the same 400/413 error. Limits are small
+   so the generator straddles the header and body caps. *)
+let max_header = 64
+let max_body = 24
+
+let http_message =
+  let open QCheck.Gen in
+  let line = oneofl [ "GET /p?x=1&y=%41 HTTP/1.1"; "POST /predict HTTP/1.0"; "GET /a b HTTP/1.1"; "BREW" ] in
+  let header =
+    oneof
+      [
+        map (fun n -> Printf.sprintf "X-Pad: %s\r\n" (String.make n 'a')) (int_range 0 70);
+        return "Transfer-Encoding: chunked\r\n";
+        return "Content-Length: x\r\n";
+        return "Connection: close\r\n";
+      ]
+  in
+  let body =
+    map2
+      (fun n declared ->
+        let b = String.make n 'b' in
+        match declared with
+        | `Exact -> (Printf.sprintf "Content-Length: %d\r\n" n, b)
+        | `Over -> (Printf.sprintf "Content-Length: %d\r\n" (max_body + 1 + n), b)
+        | `None -> ("", ""))
+      (int_range 0 30)
+      (oneofl [ `Exact; `Exact; `Over; `None ])
+  in
+  let request =
+    map3
+      (fun l hs (cl, b) -> l ^ "\r\n" ^ String.concat "" hs ^ cl ^ "\r\n" ^ b)
+      line (list_size (int_range 0 2) header) body
+  in
+  oneof
+    [
+      request;
+      map2 ( ^ ) request request;
+      map (fun n -> String.make n 'z') (int_range 0 (max_header + 8));
+    ]
+
+let show_parse = function
+  | Http.Parsed (r, n) -> Printf.sprintf "Parsed (%s %s, %d bytes)" r.Http.meth r.Http.path n
+  | Http.Incomplete -> "Incomplete"
+  | Http.Invalid e -> "Invalid (" ^ Http.error_to_string e ^ ")"
+
+let prop_parse_split_invariant =
+  QCheck.Test.make ~name:"parse_request: any two-piece split parses like the whole" ~count:300
+    (QCheck.make ~print:String.escaped http_message)
+    (fun msg ->
+      let parse s = Http.parse_request ~max_header ~max_body s in
+      let whole = parse msg in
+      let rec every k =
+        k > String.length msg
+        ||
+        let fed = match parse (String.sub msg 0 k) with Http.Incomplete -> whole | r -> r in
+        (fed = whole
+        || QCheck.Test.fail_reportf "split at %d of %d: %s, whole: %s" k (String.length msg)
+             (show_parse fed) (show_parse whole))
+        && every (k + 1)
+      in
+      every 0)
+
 let suite =
   [
+    QCheck_alcotest.to_alcotest prop_parse_split_invariant;
     Alcotest.test_case "routing and structured errors (in-process)" `Quick
       test_routing_no_socket;
     Alcotest.test_case "/rank rejects malformed ?top" `Quick test_rank_top_validation;

@@ -413,7 +413,7 @@ fn main() -> int {
   let cycles ?(arrays = []) src =
     let _, _, prog = Helpers.machine ~flags:Emc_opt.Flags.o2 ~arrays src in
     let ooo = Ooo.create Config.typical prog in
-    Helpers.set_func_arrays (Ooo.func ooo) arrays;
+    Emc_core.Measure.setup_func arrays (Ooo.func ooo);
     let c = Ooo.run_to_completion ooo in
     (c, (Ooo.func ooo).Func.icount, ooo.Ooo.branch_mispredicts)
   in
@@ -428,7 +428,7 @@ let test_smarts_accuracy () =
   let w = Emc_workloads.Registry.find "gzip" in
   let arrays = w.arrays ~scale:0.3 ~variant:Emc_workloads.Workload.Train in
   let _, _, prog = Helpers.machine ~flags:Emc_opt.Flags.o2 ~arrays w.source in
-  let setup f = Helpers.set_func_arrays f arrays in
+  let setup = Emc_core.Measure.setup_func arrays in
   let full = Smarts.run_full Config.typical prog ~setup in
   let smp = Smarts.run_sampled Config.typical prog ~setup in
   let err = Float.abs (smp.Smarts.cycles -. full.Smarts.cycles) /. full.Smarts.cycles in
@@ -440,13 +440,111 @@ let test_smarts_interval_one_is_full () =
   let w = Emc_workloads.Registry.find "gzip" in
   let arrays = w.arrays ~scale:0.05 ~variant:Emc_workloads.Workload.Train in
   let _, _, prog = Helpers.machine ~flags:Emc_opt.Flags.o0 ~arrays w.source in
-  let setup f = Helpers.set_func_arrays f arrays in
+  let setup = Emc_core.Measure.setup_func arrays in
   let r =
     Smarts.run_sampled
       ~params:{ Smarts.default_params with interval = 1 }
       Config.typical prog ~setup
   in
   cb "degenerates to detailed" true r.Smarts.detailed
+
+(* ---------------- input loading and image recycling ---------------- *)
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+(* Fill an image with garbage so a reuse that skipped clearing would
+   show. *)
+let dirty (f : Func.t) =
+  Array.fill f.Func.imem 0 (Array.length f.Func.imem) 0x5a5a5a;
+  Array.fill f.Func.fmem 0 (Array.length f.Func.fmem) Float.nan
+
+let dirty_and_release f =
+  dirty f;
+  Func.release f
+
+(* The blit loader writes exactly what element-by-element stores through
+   the layout would, into a recycled (previously dirty) image. *)
+let test_setup_func_matches_elementwise () =
+  List.iter
+    (fun (w : Emc_workloads.Workload.t) ->
+      let prog =
+        Emc_codegen.Compiler.compile_source ~issue_width:4 Emc_opt.Flags.o0 w.source
+      in
+      List.iter
+        (fun variant ->
+          let what = w.name ^ "/" ^ Emc_workloads.Workload.variant_name variant in
+          let arrays = w.arrays ~scale:0.05 ~variant in
+          dirty_and_release (Func.create prog);
+          let f = Func.create prog in
+          Emc_core.Measure.setup_func arrays f;
+          let words = Array.length f.Func.imem in
+          let iref = Array.make words 0 and fref = Array.make words 0.0 in
+          List.iter
+            (fun (name, data) ->
+              let base = Isa.global_base prog name / 8 in
+              match data with
+              | Emc_workloads.Workload.DInt a -> Array.iteri (fun i v -> iref.(base + i) <- v) a
+              | Emc_workloads.Workload.DFloat a -> Array.iteri (fun i v -> fref.(base + i) <- v) a)
+            arrays;
+          cb (what ^ ": int image") true (f.Func.imem = iref);
+          cb (what ^ ": float image") true (same_bits f.Func.fmem fref))
+        [ Emc_workloads.Workload.Train; Emc_workloads.Workload.Ref ])
+    Emc_workloads.Registry.all
+
+let test_func_recycles_image () =
+  let prog_of name =
+    Emc_codegen.Compiler.compile_source ~issue_width:4 Emc_opt.Flags.o0
+      (Emc_workloads.Registry.find name).Emc_workloads.Workload.source
+  in
+  let a = prog_of "gzip" and b = prog_of "mcf" in
+  let f = Func.create a in
+  let imem = f.Func.imem in
+  dirty_and_release f;
+  let g = Func.create a in
+  (* [f] pins the image: the spare is weak, and a major cycle completing
+     between release and create would otherwise be free to collect it *)
+  ignore (Sys.opaque_identity f);
+  cb "same-size create reuses the released image" true (g.Func.imem == imem);
+  cb "reused int image is cleared" true (Array.for_all (( = ) 0) g.Func.imem);
+  cb "reused float image is cleared" true
+    (Array.for_all (fun x -> Int64.equal (Int64.bits_of_float x) 0L) g.Func.fmem);
+  let g' = Func.create a in
+  cb "the spare is handed out once" true (g'.Func.imem != imem);
+  Func.release g;
+  let h = Func.create b in
+  cb "another size allocates" true
+    (h.Func.imem != imem && Array.length h.Func.imem <> Array.length imem);
+  let k = Func.create a in
+  cb "a mismatched spare is dropped, not kept" true (k.Func.imem != imem)
+
+(* A, then B (another image size), then A again, then A after a run that
+   trapped with a dirty image: every A must match the golden values, which
+   were recorded in a fresh process. *)
+let test_recycled_runs_bit_identical () =
+  let find w c =
+    List.find
+      (fun g -> g.Test_sim_golden.g_workload = w && g.Test_sim_golden.g_cfg = c)
+      Test_sim_golden.goldens
+  in
+  let a = find "gzip" "typical" and b = find "mcf" "constrained" in
+  Test_sim_golden.check_golden a ();
+  Test_sim_golden.check_golden b ();
+  Test_sim_golden.check_golden a ();
+  let w = Emc_workloads.Registry.find "gzip" in
+  let prog = Emc_codegen.Compiler.compile_source ~issue_width:4 Emc_opt.Flags.o2 w.source in
+  let arrays = w.arrays ~scale:a.Test_sim_golden.g_scale ~variant:Emc_workloads.Workload.Train in
+  let trapping f =
+    Emc_core.Measure.setup_func arrays f;
+    dirty f;
+    raise (Func.Trap Emc_ir.Trap.Div_by_zero)
+  in
+  cb "the run traps" true
+    (match Smarts.run_full Config.typical prog ~setup:trapping with
+    | _ -> false
+    | exception Func.Trap Emc_ir.Trap.Div_by_zero -> true);
+  Test_sim_golden.check_golden a ()
 
 (* ---------------- energy model ---------------- *)
 
@@ -455,7 +553,7 @@ let test_energy_breakdown_sums () =
   let arrays = w.arrays ~scale:0.05 ~variant:Emc_workloads.Workload.Train in
   let _, _, prog = Helpers.machine ~flags:Emc_opt.Flags.o2 ~arrays w.source in
   let ooo = Ooo.create Config.typical prog in
-  Helpers.set_func_arrays (Ooo.func ooo) arrays;
+  Emc_core.Measure.setup_func arrays (Ooo.func ooo);
   let cycles = float_of_int (Ooo.run_to_completion ooo) in
   let b = Energy.estimate ooo ~cycles in
   cb "total positive" true (b.Energy.total > 0.0);
@@ -472,7 +570,7 @@ let test_energy_tracks_memory_traffic () =
   let _, _, prog = Helpers.machine ~flags:Emc_opt.Flags.o2 ~arrays w.source in
   let energy l2 =
     let ooo = Ooo.create { Config.typical with l2_kb = l2 } prog in
-    Helpers.set_func_arrays (Ooo.func ooo) arrays;
+    Emc_core.Measure.setup_func arrays (Ooo.func ooo);
     let cycles = float_of_int (Ooo.run_to_completion ooo) in
     (Energy.estimate ooo ~cycles).Energy.memory
   in
@@ -484,7 +582,7 @@ let test_smarts_reports_all_responses () =
   let w = Emc_workloads.Registry.find "vortex" in
   let arrays = w.arrays ~scale:0.05 ~variant:Emc_workloads.Workload.Train in
   let _, _, prog = Helpers.machine ~flags:Emc_opt.Flags.o2 ~arrays w.source in
-  let r = Smarts.run_full Config.typical prog ~setup:(fun f -> Helpers.set_func_arrays f arrays) in
+  let r = Smarts.run_full Config.typical prog ~setup:(Emc_core.Measure.setup_func arrays) in
   cb "energy present" true (r.Smarts.energy > 0.0);
   ci "code size is the program size" (Array.length prog.Emc_isa.Isa.insts) r.Smarts.static_instrs
 
@@ -493,6 +591,9 @@ let suite =
     ("energy breakdown sums", `Quick, test_energy_breakdown_sums);
     ("energy tracks memory traffic", `Quick, test_energy_tracks_memory_traffic);
     ("smarts reports all responses", `Quick, test_smarts_reports_all_responses);
+    ("setup_func matches element-wise stores", `Quick, test_setup_func_matches_elementwise);
+    ("func recycles a released image", `Quick, test_func_recycles_image);
+    ("recycled runs bit-identical to fresh", `Quick, test_recycled_runs_bit_identical);
     ("cache basic", `Quick, test_cache_basic);
     ("cache lru", `Quick, test_cache_lru);
     ("cache direct-mapped conflict", `Quick, test_cache_direct_mapped_conflict);
