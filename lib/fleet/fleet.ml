@@ -4,6 +4,7 @@ module Json = Emc_obs.Json
 module Log = Emc_obs.Log
 module Metrics = Emc_obs.Metrics
 module Http = Emc_serve.Http
+module Serve = Emc_serve.Serve
 
 (** Distributed measurement over the serve substrate (see fleet.mli). *)
 
@@ -258,125 +259,38 @@ let triples_of_body ~expect body =
     Error (Printf.sprintf "%d results for %d points" (List.length results) expect)
   else Ok (Array.of_list results)
 
-(* ---------------- minimal daemon scaffolding ---------------- *)
+(* ---------------- daemon scaffolding ---------------- *)
 
-let error_json code msg =
-  Json.to_string
-    (Json.Obj
-       [ ("error", Json.Obj [ ("code", Json.Str code); ("message", Json.Str msg) ]) ])
+(* Both fleet daemons run the serve connection scheduler in process, so a
+   stalled or slow peer never holds one: only a handler does (a worker's
+   /measure chunk is its unit of work; parallelism comes from more workers
+   and each worker's own --jobs fan-out). The scheduler answers pipelined
+   requests strictly in order and echoes each X-Chunk-Id, which is what
+   the coordinator's pairing check reads. SIGTERM/SIGINT is a drain:
+   the request being handled is answered with Connection: close and the
+   loop returns, so the caller deregisters and cleans up. *)
 
-let json_body status j = (status, "application/json", Json.to_string j)
-let error_body status code msg = (status, "application/json", error_json code msg)
+let max_body = 64 * 1024 * 1024
 
-let listener_of_addr addr =
-  match addr with
-  | Tcp (host, port) ->
-      let ip =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> fail "listen address must be an IP, not %S" host
-      in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (ip, port));
-      Unix.listen fd 64;
-      fd
-  | Unix_sock path ->
-      if Sys.file_exists path then (try Unix.unlink path with Unix.Unix_error _ -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
-      fd
+(* measurement chunks can run for minutes: a long read and idle timeout
+   keeps an idle keep-alive coordinator connection from being dropped
+   mid-run *)
+let worker_read_timeout = 3600.0
+let store_read_timeout = 30.0
 
-let stop = ref false
-
-(* Sequential accept loop with keep-alive — measurement chunks are
-   long-running and CPU-bound, so one connection at a time per daemon is
-   the natural unit; parallelism comes from running more workers (and
-   each worker's own --jobs fan-out). A coordinator pipelines multiple
-   requests down the one connection; they are answered strictly in order,
-   each response echoing the request's X-Chunk-Id so the coordinator can
-   verify the pairing.
-
-   Drain semantics (SIGTERM/SIGINT, which is what `fleet-worker --drain`
-   sends): finish the request currently being handled, answer it with
-   Connection: close, run [on_stop] (deregister from the membership
-   endpoint), and exit 0. Between requests the loop waits in short
-   selects rather than blocking in read, so an idle daemon drains
-   promptly instead of after its next request. *)
-let serve_loop ?(ready = fun () -> ()) ?(on_stop = fun () -> ()) ~name ~listen ~read_timeout
-    handler =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  stop := false;
-  let quit = Sys.Signal_handle (fun _ -> stop := true) in
-  Sys.set_signal Sys.sigterm quit;
-  Sys.set_signal Sys.sigint quit;
-  let lsock = listener_of_addr listen in
+let bind ~name listen =
+  let bound = Serve.bind_listener (sockaddr_of_addr listen) in
   Log.info ~src:name
     ~fields:[ ("listen", Json.Str (addr_to_string listen)) ]
     "%s listening on %s" name (addr_to_string listen);
-  ready ();
-  while not !stop do
-    match Unix.accept lsock with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | fd, _ ->
-        (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO read_timeout
-         with Unix.Unix_error _ -> ());
-        (* Per-connection pipelining buffer: a pipelined client may send
-           request N+1 glued to request N's bytes, in which case it sits
-           here and the socket never becomes readable again. *)
-        let carry = ref "" in
-        (* true when request bytes arrive before the idle deadline; false
-           on stop or an idle keep-alive connection going quiet *)
-        let await_request () =
-          let idle_deadline = Unix.gettimeofday () +. read_timeout in
-          let rec go () =
-            if !carry <> "" then true
-            else if !stop then false
-            else if Unix.gettimeofday () > idle_deadline then false
-            else
-              match Unix.select [ fd ] [] [] 0.25 with
-              | [], _, _ -> go ()
-              | _ -> true
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-          in
-          go ()
-        in
-        let rec conn () =
-          if await_request () then
-            match
-              Http.read_request ~max_body:(64 * 1024 * 1024) ~timeout:read_timeout ~carry fd
-            with
-            | Error (Http.Closed | Http.Timeout) -> ()
-            | Error e ->
-                Http.respond fd ~status:400 ~keep_alive:false
-                  (error_json "bad_request" (Http.error_to_string e))
-            | Ok req ->
-                let status, content_type, body =
-                  try handler req
-                  with e ->
-                    Log.warn ~src:name "request handler raised: %s" (Printexc.to_string e);
-                    error_body 500 "internal" "internal error; see server log"
-                in
-                let headers =
-                  match Http.header req "x-chunk-id" with
-                  | Some id -> [ ("X-Chunk-Id", id) ]
-                  | None -> []
-                in
-                Http.respond fd ~status ~content_type ~headers ~keep_alive:(not !stop) body;
-                if not !stop then conn ()
-        in
-        (try conn ()
-         with Unix.Unix_error
-                ((Unix.EPIPE | Unix.ECONNRESET | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-           ());
-        (try Unix.close fd with Unix.Unix_error _ -> ())
-  done;
-  (try Unix.close lsock with Unix.Unix_error _ -> ());
-  (match listen with
-  | Unix_sock path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
-  | Tcp _ -> ());
-  on_stop ();
-  Log.info ~src:name "%s on %s: graceful shutdown" name (addr_to_string listen)
+  bound
+
+let serve ~timeout lsock handle =
+  Serve.serve_on ~max_body ~read_timeout:timeout ~idle_timeout:timeout lsock
+    (fun req b ->
+      let status, content_type, body = handle req in
+      Buffer.add_string b body;
+      (status, content_type))
 
 (* ---------------- content-addressed result store ---------------- *)
 
@@ -427,7 +341,7 @@ let run_store ?file ~listen () =
           | _ -> Error "want {\"addr\":ADDR,\"ttl\":HEXSECONDS} with 0 < ttl <= 3600"
         in
         match parsed with
-        | Error msg -> error_body 400 "bad_request" msg
+        | Error msg -> Serve.error_body 400 "bad_request" msg
         | Ok (addr, ttl) ->
             let now = Unix.gettimeofday () in
             if not (Hashtbl.mem members addr) then
@@ -436,7 +350,7 @@ let run_store ?file ~listen () =
             Hashtbl.replace members addr (now, ttl);
             Metrics.incr m_registered;
             expire_members now;
-            json_body 200 (Json.Obj [ ("members", Json.Int (Hashtbl.length members)) ]))
+            Serve.json_body 200 (Json.Obj [ ("members", Json.Int (Hashtbl.length members)) ]))
     | "POST", "/deregister" -> (
         let parsed =
           let* j = Json.parse req.Http.body in
@@ -445,7 +359,7 @@ let run_store ?file ~listen () =
           | _ -> Error "want {\"addr\":ADDR}"
         in
         match parsed with
-        | Error msg -> error_body 400 "bad_request" msg
+        | Error msg -> Serve.error_body 400 "bad_request" msg
         | Ok addr ->
             let removed = Hashtbl.mem members addr in
             Hashtbl.remove members addr;
@@ -453,7 +367,7 @@ let run_store ?file ~listen () =
               Log.info ~src:"fleet-store" ~fields:[ ("worker", Json.Str addr) ]
                 "member %s deregistered" addr;
             Metrics.set g_members (float_of_int (Hashtbl.length members));
-            json_body 200 (Json.Obj [ ("removed", Json.Bool removed) ]))
+            Serve.json_body 200 (Json.Obj [ ("removed", Json.Bool removed) ]))
     | "GET", "/members" ->
         let now = Unix.gettimeofday () in
         expire_members now;
@@ -463,7 +377,7 @@ let run_store ?file ~listen () =
           |> List.map (fun (a, age) ->
                  Json.Obj [ ("addr", Json.Str a); ("age", Json.hex age) ])
         in
-        json_body 200 (Json.Obj [ ("workers", Json.List workers) ])
+        Serve.json_body 200 (Json.Obj [ ("workers", Json.List workers) ])
     | "POST", "/lookup" -> (
         let parsed =
           let* j = Json.parse req.Http.body in
@@ -479,7 +393,7 @@ let run_store ?file ~listen () =
           | _ -> Error "missing keys"
         in
         match parsed with
-        | Error msg -> error_body 400 "bad_request" msg
+        | Error msg -> Serve.error_body 400 "bad_request" msg
         | Ok keys ->
             let hits =
               List.filter_map
@@ -493,7 +407,7 @@ let run_store ?file ~listen () =
                       None)
                 keys
             in
-            json_body 200 (Json.Obj [ ("results", Json.Obj hits) ]))
+            Serve.json_body 200 (Json.Obj [ ("results", Json.Obj hits) ]))
     | "POST", "/put" -> (
         let parsed =
           let* j = Json.parse req.Http.body in
@@ -509,7 +423,7 @@ let run_store ?file ~listen () =
           | _ -> Error "missing entries"
         in
         match parsed with
-        | Error msg -> error_body 400 "bad_request" msg
+        | Error msg -> Serve.error_body 400 "bad_request" msg
         | Ok entries ->
             let added =
               List.fold_left
@@ -529,28 +443,31 @@ let run_store ?file ~listen () =
             (match persist with Some oc -> flush oc | None -> ());
             Metrics.add m_added added;
             Metrics.set g_keys (float_of_int (Hashtbl.length table));
-            json_body 200 (Json.Obj [ ("added", Json.Int added) ]))
+            Serve.json_body 200 (Json.Obj [ ("added", Json.Int added) ]))
     | "GET", "/get" -> (
         match List.assoc_opt "k" req.Http.query with
-        | None -> error_body 400 "bad_request" "missing ?k="
+        | None -> Serve.error_body 400 "bad_request" "missing ?k="
         | Some k -> (
             match Hashtbl.find_opt table k with
             | Some v ->
                 Metrics.incr m_lookup_hits;
-                json_body 200 (Json.Obj [ ("k", Json.Str k); ("v", Json.hex v) ])
+                Serve.json_body 200 (Json.Obj [ ("k", Json.Str k); ("v", Json.hex v) ])
             | None ->
                 Metrics.incr m_lookup_misses;
-                error_body 404 "not_found" ("no result under key " ^ k)))
+                Serve.error_body 404 "not_found" ("no result under key " ^ k)))
     | "GET", "/healthz" ->
-        json_body 200
+        Serve.json_body 200
           (Json.Obj
              [ ("status", Json.Str "ok"); ("role", Json.Str "store");
                ("keys", Json.Int (Hashtbl.length table)) ])
-    | "GET", "/metrics" -> (200, "text/plain; version=0.0.4", Emc_serve.Serve.prometheus ())
-    | _, p -> error_body 404 "not_found" ("no such endpoint: " ^ p)
+    | "GET", "/metrics" -> (200, "text/plain; version=0.0.4", Serve.prometheus ())
+    | _, p -> Serve.error_body 404 "not_found" ("no such endpoint: " ^ p)
   in
-  serve_loop ~name:"fleet-store" ~listen ~read_timeout:30.0 handle;
-  match persist with Some oc -> close_out oc | None -> ()
+  let lsock, unbind = bind ~name:"fleet-store" listen in
+  serve ~timeout:store_read_timeout lsock handle;
+  unbind ();
+  Option.iter close_out persist;
+  Log.info ~src:"fleet-store" "fleet-store on %s: graceful shutdown" (addr_to_string listen)
 
 (* ---------------- store client (used by workers) ---------------- *)
 
@@ -689,10 +606,10 @@ let run_worker ?(jobs = 1) ?store ?(store_timeout = 10.0) ?cache_file ?register 
   in
   let handle_measure (req : Http.request) =
     match measure_request_of_body req.Http.body with
-    | Error msg -> error_body 400 "bad_request" msg
+    | Error msg -> Serve.error_body 400 "bad_request" msg
     | Ok mr -> (
         match Registry.find mr.mr_workload with
-        | exception Invalid_argument msg -> error_body 400 "unknown_workload" msg
+        | exception Invalid_argument msg -> Serve.error_body 400 "unknown_workload" msg
         | w ->
             Metrics.incr m_requests;
             Metrics.add m_measured (Array.length mr.mr_points);
@@ -741,50 +658,45 @@ let run_worker ?(jobs = 1) ?store ?(store_timeout = 10.0) ?cache_file ?register 
     match (req.Http.meth, req.Http.path) with
     | "POST", "/measure" -> handle_measure req
     | "GET", "/healthz" ->
-        json_body 200
+        Serve.json_body 200
           (Json.Obj
              [ ("status", Json.Str "ok"); ("role", Json.Str "worker");
                ("jobs", Json.Int jobs);
                ("workloads", Json.List (List.map (fun n -> Json.Str n) Registry.names)) ])
-    | "GET", "/metrics" -> (200, "text/plain; version=0.0.4", Emc_serve.Serve.prometheus ())
-    | _, p -> error_body 404 "not_found" ("no such endpoint: " ^ p)
+    | "GET", "/metrics" -> (200, "text/plain; version=0.0.4", Serve.prometheus ())
+    | _, p -> Serve.error_body 404 "not_found" ("no such endpoint: " ^ p)
   in
   let advertise = match advertise with Some a -> a | None -> addr_to_string listen in
   let pidfile = match pidfile with Some _ as p -> p | None -> default_pidfile listen in
-  let hb = ref None in
-  let ready () =
-    (match pidfile with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (string_of_int (Unix.getpid ()));
-        output_char oc '\n';
-        close_out oc);
-    match register with
-    | None -> ()
-    | Some saddr ->
-        hb := Some (start_heartbeater ~store:saddr ~advertise ~interval:heartbeat
-                      ~timeout:store_timeout)
+  let lsock, unbind = bind ~name:"fleet-worker" listen in
+  Option.iter
+    (fun path ->
+      let oc = open_out path in
+      output_string oc (string_of_int (Unix.getpid ()));
+      output_char oc '\n';
+      close_out oc)
+    pidfile;
+  let hb =
+    Option.map
+      (fun saddr ->
+        start_heartbeater ~store:saddr ~advertise ~interval:heartbeat ~timeout:store_timeout)
+      register
   in
-  let on_stop () =
-    (match !hb with
-    | None -> ()
-    | Some pid ->
-        (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-        (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()));
-    (match register with
-    | None -> ()
-    | Some saddr -> (
-        match deregister_rpc ~timeout:store_timeout saddr ~advertise with
-        | Ok () -> ()
-        | Error e -> Log.warn ~src:"fleet-worker" "deregister failed: %s" e));
-    match pidfile with
-    | None -> ()
-    | Some path -> ( try Sys.remove path with Sys_error _ -> ())
-  in
-  (* measurement chunks can run for minutes: a long read timeout keeps an
-     idle keep-alive coordinator connection from being dropped mid-run *)
-  serve_loop ~ready ~on_stop ~name:"fleet-worker" ~listen ~read_timeout:3600.0 handle
+  serve ~timeout:worker_read_timeout lsock handle;
+  unbind ();
+  Option.iter
+    (fun pid ->
+      (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+      try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+    hb;
+  Option.iter
+    (fun saddr ->
+      match deregister_rpc ~timeout:store_timeout saddr ~advertise with
+      | Ok () -> ()
+      | Error e -> Log.warn ~src:"fleet-worker" "deregister failed: %s" e)
+    register;
+  Option.iter (fun path -> try Sys.remove path with Sys_error _ -> ()) pidfile;
+  Log.info ~src:"fleet-worker" "fleet-worker on %s: graceful shutdown" (addr_to_string listen)
 
 (* Graceful scale-down, the client side of `fleet-worker --drain`: SIGTERM
    the worker named by its pidfile and wait for the process to exit. The

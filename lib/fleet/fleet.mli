@@ -2,7 +2,10 @@
 
     [lib/par] fans a {!Emc_core.Measure.respond_many} batch out over forked
     workers on one box; this module fans it out over {e machines}. Three
-    pieces, all speaking the dependency-free HTTP/1.1 of [lib/serve]:
+    pieces, all speaking the dependency-free HTTP/1.1 of [lib/serve]. Both
+    daemons run the serve connection scheduler ({!Emc_serve.Serve.serve_on})
+    in process, so a stalled or slow peer costs a connection slot and never
+    holds a daemon:
 
     - a {b worker daemon} ([emc fleet-worker], {!run_worker}) exposing
       [POST /measure] — a batch of design points in, all three responses
@@ -81,8 +84,9 @@ type options = {
   depth : int;
       (** outstanding chunks pipelined per worker connection; 1 = the
           classic request/response lockstep. Responses come back in
-          request order (the worker loop is sequential) and each echoes
-          its [X-Chunk-Id], so a desync is detected, not silently merged *)
+          request order (the scheduler answers one connection's requests
+          in order) and each echoes its [X-Chunk-Id], so a desync is
+          detected, not silently merged *)
   connect_timeout : float;  (** seconds to establish a worker connection *)
   read_timeout : float;
       (** hard per-dispatch deadline before the worker is failed; clocks
@@ -172,7 +176,13 @@ val drain : ?timeout:float -> pidfile:string -> unit -> (int, string) result
     removes the pidfile and exits 0) and wait up to [timeout] (default
     120 s) for the process to disappear. Returns the pid drained. *)
 
-(** {1 Daemons} (block until SIGTERM/SIGINT, then clean up) *)
+(** {1 Daemons} (block until SIGTERM/SIGINT, then clean up)
+
+    Both bind with {!Emc_serve.Serve.bind_listener}, so a regular file at
+    a Unix-socket path raises [Failure] and is left in place. Read and
+    idle timeouts are 3600 s for a worker (an idle coordinator connection
+    survives a long run) and 30 s for the store; bodies are capped at
+    64 MiB. *)
 
 val run_worker :
   ?jobs:int ->

@@ -86,6 +86,25 @@ let wait_readable fd deadline =
   in
   go ()
 
+(* Where the head's \r\n\r\n terminator starts, under the one head-cap
+   rule, whichever way the bytes arrived: a head is too large when its
+   terminator starts after [max_header], or when there is no terminator
+   yet and more than [max_header + 3] bytes — a terminator starting at
+   [max_header] is still within the cap, and its last three bytes may not
+   have arrived. [Ok None] means "read more". *)
+let head_end ~max_header s =
+  let n = String.length s in
+  let rec find i =
+    if i + 3 >= n then None
+    else if s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r' && s.[i + 3] = '\n' then Some i
+    else find (i + 1)
+  in
+  match find 0 with
+  | Some i when i > max_header -> Error (Too_large "headers")
+  | Some i -> Ok (Some i)
+  | None when n > max_header + 3 -> Error (Too_large "headers")
+  | None -> Ok None
+
 (* Read until the header terminator appears; any extra bytes already read
    belong to the body and are returned alongside. When [deadline] is set it
    bounds the {e whole} head, not each individual read — a peer dribbling
@@ -95,42 +114,28 @@ let read_head ?deadline ?(already = "") ~max_header fd =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf already;
   let chunk = Bytes.create 4096 in
-  let find_terminator () =
-    let s = Buffer.contents buf in
-    let n = String.length s in
-    let rec go i =
-      if i + 3 >= n then None
-      else if s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r' && s.[i + 3] = '\n' then Some i
-      else go (i + 1)
-    in
-    go 0
-  in
   let rec loop () =
-    match find_terminator () with
-    | Some i ->
-        let s = Buffer.contents buf in
-        Ok (String.sub s 0 i, String.sub s (i + 4) (String.length s - i - 4))
-    | None ->
-        if Buffer.length buf > max_header then Error (Too_large "headers")
-        else (
-          match
-            match deadline with
-            | None -> Ok ()
-            | Some d -> wait_readable fd d
-          with
-          | Error e -> Error e
-          | Ok () -> (
-              match Unix.read fd chunk 0 (Bytes.length chunk) with
-              | 0 ->
-                  if Buffer.length buf = 0 then Error Closed else Error (Bad "truncated request")
-              | n ->
-                  Buffer.add_subbytes buf chunk 0 n;
-                  loop ()
-              | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-                  Error Timeout
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-              | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
-                  if Buffer.length buf = 0 then Error Closed else Error (Bad "connection reset")))
+    let s = Buffer.contents buf in
+    match head_end ~max_header s with
+    | Error e -> Error e
+    | Ok (Some i) -> Ok (String.sub s 0 i, String.sub s (i + 4) (String.length s - i - 4))
+    | Ok None -> (
+        match
+          match deadline with
+          | None -> Ok ()
+          | Some d -> wait_readable fd d
+        with
+        | Error e -> Error e
+        | Ok () -> (
+            match Unix.read fd chunk 0 (Bytes.length chunk) with
+            | 0 -> if Buffer.length buf = 0 then Error Closed else Error (Bad "truncated head")
+            | n ->
+                Buffer.add_subbytes buf chunk 0 n;
+                loop ()
+            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> Error Timeout
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
+            | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
+                if Buffer.length buf = 0 then Error Closed else Error (Bad "connection reset")))
   in
   loop ()
 
@@ -183,10 +188,9 @@ let parse_headers header_lines =
         | None -> None)
     header_lines
 
-(* Request-line + headers parsing shared by the blocking reader and the
-   incremental parser: [head] is everything before the \r\n\r\n
-   terminator. Yields the declared body length so the caller can frame
-   the body however it reads (blocking read or buffered slice). *)
+(* Request-line + headers parsing: [head] is everything before the
+   \r\n\r\n terminator. Yields the declared body length so the caller
+   can frame the body. *)
 let request_of_head head =
   match String.split_on_char '\n' head |> List.map (fun l -> trim l) with
   | [] -> Error (Bad "empty request")
@@ -212,7 +216,7 @@ let request_of_head head =
                 | _ -> Error (Bad ("malformed content-length: " ^ v))))
       | _ -> Error (Bad "malformed request line"))
 
-(* The incremental half: parse one request from an in-memory byte
+(* The server half: parse one request from an in-memory byte
    accumulation without touching any descriptor. The multiplexed server
    loop appends whatever the socket had and retries; [Incomplete] means
    "wait for more bytes", the two terminal cases consume the connection. *)
@@ -222,37 +226,24 @@ type parse =
   | Incomplete
   | Invalid of error
 
-let find_head_end s =
-  let n = String.length s in
-  let rec go i =
-    if i + 3 >= n then None
-    else if s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r' && s.[i + 3] = '\n' then Some i
-    else go (i + 1)
-  in
-  go 0
-
 let parse_request ?(max_header = 16 * 1024) ?(max_body = 1024 * 1024) s =
-  match find_head_end s with
-  | None ->
-      (* a terminator starting at [max_header] is still within the cap, and
-         its last three bytes may not have arrived yet *)
-      if String.length s > max_header + 3 then Invalid (Too_large "headers") else Incomplete
-  | Some i -> (
-      if i > max_header then Invalid (Too_large "headers")
-      else
-        match request_of_head (String.sub s 0 i) with
-        | Error e -> Invalid e
-        | Ok (meth, path, query, headers, len) ->
-            if len > max_body then Invalid (Too_large "body")
-            else
-              let body_start = i + 4 in
-              if String.length s - body_start >= len then
-                Parsed ({ meth; path; query; headers; body = String.sub s body_start len }, body_start + len)
-              else Incomplete)
+  match head_end ~max_header s with
+  | Error e -> Invalid e
+  | Ok None -> Incomplete
+  | Ok (Some i) -> (
+      match request_of_head (String.sub s 0 i) with
+      | Error e -> Invalid e
+      | Ok (meth, path, query, headers, len) ->
+          if len > max_body then Invalid (Too_large "body")
+          else
+            let body_start = i + 4 in
+            if String.length s - body_start >= len then
+              Parsed ({ meth; path; query; headers; body = String.sub s body_start len }, body_start + len)
+            else Incomplete)
 
 (* [carry] is the per-connection pipelining buffer: bytes read past the
    end of the previous message seed this one, and this one's surplus is
-   put back. Without it a second in-flight request's first bytes are
+   put back. Without it a second in-flight response's first bytes are
    silently discarded with the preceding body's read-ahead. *)
 let take_carry = function
   | None -> ""
@@ -264,21 +255,8 @@ let take_carry = function
 let put_carry carry surplus =
   match carry with Some r -> r := surplus | None -> ()
 
-let read_request ?(max_header = 16 * 1024) ?(max_body = 1024 * 1024) ?timeout ?carry fd =
-  let deadline = Option.map (fun t -> Unix.gettimeofday () +. t) timeout in
-  match read_head ?deadline ~already:(take_carry carry) ~max_header fd with
-  | Error e -> Error e
-  | Ok (head, rest) -> (
-      match request_of_head head with
-      | Error e -> Error e
-      | Ok (meth, path, query, headers, len) -> (
-          match read_body ?deadline ~max_body fd ~already:rest len with
-          | Error e -> Error e
-          | Ok (body, surplus) ->
-              put_carry carry surplus;
-              Ok { meth; path; query; headers; body }))
-
-(* The client half: read one response (for [emc loadgen] and tests). *)
+(* The client half: read one response (loadgen, the fleet coordinator and
+   tests). *)
 
 type response = {
   status : int;
@@ -402,9 +380,7 @@ let write_request fd ~meth ~path ?(headers = []) ?(body = "") () =
       Error (Refused "peer reset the connection during the request write")
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> Error Timeout
 
-(* The one response-head formatter: the blocking [respond] below and the
-   multiplexed server loop both render through it, so responses are
-   byte-identical whichever path wrote them. *)
+(* The response-head formatter of the multiplexed server loop. *)
 let response_head_into b ~status ~content_type ~body_length ~keep_alive headers =
   (match status with
   | 200 -> Buffer.add_string b "HTTP/1.1 200 OK\r\n"
@@ -429,11 +405,3 @@ let response_head_into b ~status ~content_type ~body_length ~keep_alive headers 
   Buffer.add_string b
     (if keep_alive then "Connection: keep-alive\r\n" else "Connection: close\r\n");
   Buffer.add_string b "\r\n"
-
-let respond fd ~status ?(content_type = "application/json") ?(keep_alive = true)
-    ?(headers = []) body =
-  let b = Buffer.create (String.length body + 128) in
-  response_head_into b ~status ~content_type ~body_length:(String.length body) ~keep_alive
-    headers;
-  Buffer.add_string b body;
-  write_all fd (Buffer.contents b)

@@ -1,9 +1,10 @@
-(** A deliberately small HTTP/1.1 reader/writer over [Unix] file
-    descriptors — just enough protocol for the model-serving daemon: one
-    request line, headers, an optional [Content-Length] body, keep-alive,
-    and in-order pipelining via a per-connection carry buffer (the fleet
-    coordinator keeps several requests in flight per worker). No chunked
-    encoding, no TLS.
+(** A deliberately small HTTP/1.1 reader/writer — just enough protocol for
+    the daemons: the server side parses requests from bytes the
+    multiplexed loop has buffered, the client side reads and writes over
+    [Unix] file descriptors. One request line, headers, an optional
+    [Content-Length] body, keep-alive, and in-order pipelining via a
+    per-connection carry buffer (the fleet coordinator keeps several
+    requests in flight per worker). No chunked encoding, no TLS.
 
     Robustness is the point: header and body sizes are capped, reads honor
     the socket's receive timeout, and every malformed input is a typed
@@ -19,7 +20,7 @@ type request = {
 }
 
 type error =
-  | Closed  (** clean EOF before any request byte — peer is done *)
+  | Closed  (** clean EOF before any message byte — peer is done *)
   | Timeout  (** the socket's receive timeout (or connect timeout) expired *)
   | Too_large of string  (** headers or declared body over the cap; names which *)
   | Bad of string  (** malformed request line/headers or truncated body *)
@@ -32,28 +33,6 @@ val error_to_string : error -> string
 val header : request -> string -> string option
 (** Case-insensitive header lookup. *)
 
-val read_request :
-  ?max_header:int ->
-  ?max_body:int ->
-  ?timeout:float ->
-  ?carry:string ref ->
-  Unix.file_descr ->
-  (request, error) result
-(** Read one request. [max_header] defaults to 16 KiB, [max_body] to
-    1 MiB. [timeout] bounds the {e whole} request (head + body) against an
-    absolute deadline — without it, only the socket's receive timeout
-    applies, which resets on every read and so never fires against a peer
-    that dribbles bytes. EINTR never restarts the budget.
-
-    [carry] makes pipelining correct: reads pull from the socket in
-    chunks, so bytes of the {e next} pipelined message may arrive glued
-    to this one's body. Pass one [ref] per connection — its contents are
-    consumed before reading the socket and, on success, it is refilled
-    with the surplus. Without [carry], such surplus is discarded (fine
-    for strict request/response lockstep, fatal for pipelining). A caller
-    holding a non-empty carry must not wait for socket readability —
-    the next message may already be fully buffered. *)
-
 type parse =
   | Parsed of request * int
       (** one complete request plus the number of bytes it consumed; the
@@ -62,13 +41,15 @@ type parse =
   | Invalid of error  (** terminal: respond with the mapped status and close *)
 
 val parse_request : ?max_header:int -> ?max_body:int -> string -> parse
-(** The incremental half of {!read_request}: parse one request from an
-    in-memory accumulation of connection bytes without touching a
-    descriptor. The multiplexed server loop appends each non-blocking
-    read's bytes and re-parses; limits and error mapping match
-    {!read_request} (16 KiB heads, 1 MiB bodies by default, declared
-    [Content-Length] over the cap is [Too_large "body"] before any body
-    byte arrives). *)
+(** The server half: parse one request from an in-memory accumulation of
+    connection bytes without touching a descriptor. The multiplexed
+    server loop appends each non-blocking read's bytes and re-parses.
+    [max_header] defaults to 16 KiB and [max_body] to 1 MiB. A head is
+    [Too_large "headers"] when its terminator starts after [max_header],
+    or when there is no terminator yet and more than [max_header + 3]
+    bytes; where the reads split the input never changes the outcome. A
+    declared [Content-Length] over the cap is [Too_large "body"] before
+    any body byte arrives. *)
 
 type response = {
   status : int;
@@ -88,13 +69,25 @@ val read_response :
   (response, error) result
 (** The client half: read one [Content-Length]-framed response from a
     keep-alive connection (the [emc loadgen] driver, the fleet coordinator
-    and the tests). [max_body] defaults to 8 MiB. [timeout] bounds the
-    whole response against an absolute deadline (see {!read_request});
-    the fleet coordinator passes its per-dispatch budget here so a worker
-    dribbling a response cannot stall the run past its chunk deadline.
-    [carry] is the per-connection pipelining buffer (see
-    {!read_request}) — the coordinator passes one per worker connection
-    when [depth > 1]. *)
+    and the tests). [max_header] defaults to 16 KiB, with the same cap
+    rule as {!parse_request}; [max_body] defaults to 8 MiB.
+
+    [timeout] bounds the {e whole} response (head + body) against an
+    absolute deadline — without it, only the socket's receive timeout
+    applies, which resets on every read and so never fires against a peer
+    that dribbles bytes. EINTR never restarts the budget. The fleet
+    coordinator passes its per-dispatch budget here so a worker dribbling
+    a response cannot stall the run past its chunk deadline.
+
+    [carry] makes pipelining correct: reads pull from the socket in
+    chunks, so bytes of the {e next} pipelined response may arrive glued
+    to this one's body. Pass one [ref] per connection — its contents are
+    consumed before reading the socket and, on success, it is refilled
+    with the surplus. Without [carry], such surplus is discarded (fine for
+    strict request/response lockstep, fatal for pipelining). A caller
+    holding a non-empty carry must not wait for socket readability — the
+    next response may already be fully buffered. The coordinator passes
+    one per worker connection when [depth > 1]. *)
 
 val connect : ?timeout:float -> Unix.sockaddr -> (Unix.file_descr, error) result
 (** Open a stream connection with a connect timeout (default 10 s), mapping
@@ -117,19 +110,6 @@ val write_request :
     {!Refused}, a send-timeout expiry is {!Timeout}. Callers should ignore
     SIGPIPE. *)
 
-val respond :
-  Unix.file_descr ->
-  status:int ->
-  ?content_type:string ->
-  ?keep_alive:bool ->
-  ?headers:(string * string) list ->
-  string ->
-  unit
-(** Write a complete response with [Content-Length]; [headers] adds
-    extra response headers (e.g. [X-Request-Id]). [content_type]
-    defaults to ["application/json"]. Raises [Unix.Unix_error] on a dead
-    peer (callers catch EPIPE/ECONNRESET). *)
-
 val response_head_into :
   Buffer.t ->
   status:int ->
@@ -139,8 +119,7 @@ val response_head_into :
   (string * string) list ->
   unit
 (** Render the status line, framing headers, extras and the blank line
-    into [b] — the body (exactly [body_length] bytes) follows. {!respond}
-    and the multiplexed server loop share this formatter, so their
-    response bytes are identical by construction. *)
+    into [b] — the body (exactly [body_length] bytes) follows. The
+    multiplexed server loop's one response formatter. *)
 
 val status_text : int -> string

@@ -675,7 +675,9 @@ let handle_into hot (req : Http.request) =
   end;
   resp
 
-(* ---------------- connection + worker loop ---------------- *)
+(* ---------------- connection scheduler ---------------- *)
+
+type handler = Http.request -> Buffer.t -> int * string
 
 let stop = ref false
 
@@ -684,9 +686,9 @@ let count_error status =
   Metrics.incr m_errors;
   Metrics.incr (status_counter status)
 
-(* The event-driven connection scheduler. Each pre-forked worker owns a
-   select()-driven set of per-connection state machines over the shared
-   non-blocking listening socket:
+(* The event-driven connection scheduler that every daemon runs (serve
+   workers, fleet-worker, fleet-store): a select()-driven set of
+   per-connection state machines over one non-blocking listening socket:
 
      accept -> read (accumulate + incremental parse) -> handle
             -> write (non-blocking flush) -> keep-alive | close
@@ -694,15 +696,16 @@ let count_error status =
    A connection is either reading (its input buffer holds at most a
    partial request) or writing (one rendered response is flushing; input
    bytes buffer in the kernel — natural per-connection back-pressure, so
-   a pipelining client can't make the worker buffer unbounded output).
+   a pipelining client can't make the loop buffer unbounded output).
    Deadlines are absolute and phase-derived: a partial request must
    complete within [read_timeout] of its first byte (a dribbling writer
    earns a 408), a response must drain within [read_timeout] (a stalled
    reader is cut off), and a silent idle connection is closed after
-   [idle_timeout]. The access-log line and the metrics-snapshot publish
-   for a response run only after its last byte reaches the kernel —
-   queued as [post_write] when the flush goes partial — so neither ever
-   sits between another connection's events. *)
+   [idle_timeout]. So no peer, stalled or slow, holds the loop: the only
+   thing that does is the handler itself. The access-log line and the
+   metrics-snapshot publish for a response run only after its last byte
+   reaches the kernel — queued as [post_write] when the flush goes
+   partial — so neither ever sits between another connection's events. *)
 
 type conn = {
   c_fd : Unix.file_descr;
@@ -720,8 +723,11 @@ type conn = {
 }
 
 type wstate = {
-  w_opts : opts;
-  w_hot : hot;
+  w_max_body : int;
+  w_read_timeout : float;
+  w_idle_timeout : float;
+  w_handler : handler;
+  w_body : Buffer.t;  (* response body of the current request *)
   w_chunk : Bytes.t;  (* reused read buffer *)
   w_outbuf : Buffer.t;  (* reused response render buffer *)
   mutable w_conns : conn list;
@@ -729,8 +735,8 @@ type wstate = {
 
 let conn_deadline st c =
   if c.c_writing then c.c_write_deadline
-  else if Buffer.length c.c_inb > 0 then c.c_req_t0 +. st.w_opts.read_timeout
-  else c.c_idle_since +. st.w_opts.idle_timeout
+  else if Buffer.length c.c_inb > 0 then c.c_req_t0 +. st.w_read_timeout
+  else c.c_idle_since +. st.w_idle_timeout
 
 let close_conn st c =
   if not c.c_closed then begin
@@ -740,21 +746,20 @@ let close_conn st c =
     st.w_conns <- List.filter (fun o -> o != c) st.w_conns
   end
 
-(* Render head + the body currently in [h_body] into the conn's output
+(* Render head + the body currently in [w_body] into the conn's output
    string and start flushing. The first flush attempt happens inline: on
    an unloaded connection the whole response reaches the kernel here and
    [post_write] runs at once. *)
-let rec enqueue_response st c ~status ~content_type ~keep_alive ~id =
+let rec enqueue_response st c ~status ~content_type ~keep_alive headers =
   Buffer.clear st.w_outbuf;
   Http.response_head_into st.w_outbuf ~status ~content_type
-    ~body_length:(Buffer.length st.w_hot.h_body) ~keep_alive
-    [ ("X-Request-Id", id) ];
-  Buffer.add_buffer st.w_outbuf st.w_hot.h_body;
+    ~body_length:(Buffer.length st.w_body) ~keep_alive headers;
+  Buffer.add_buffer st.w_outbuf st.w_body;
   c.c_out <- Buffer.contents st.w_outbuf;
   c.c_out_off <- 0;
   c.c_writing <- true;
   if not keep_alive then c.c_close_after <- true;
-  c.c_write_deadline <- Unix.gettimeofday () +. st.w_opts.read_timeout;
+  c.c_write_deadline <- Unix.gettimeofday () +. st.w_read_timeout;
   try_flush st c
 
 and try_flush st c =
@@ -790,8 +795,7 @@ and try_flush st c =
         () (* kernel buffer full: select on writability, deadline armed *)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> try_flush st c
     | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-        (* response undeliverable: drop its post_write (the old blocking
-           path also skipped logging when the peer vanished mid-write) *)
+        (* response undeliverable: drop its post_write, nobody saw it *)
         close_conn st c
   end
 
@@ -808,10 +812,12 @@ and protocol_error st c status code msg =
         publish_soon ();
         log_access ~id ~meth:"-" ~path:"-" ~status ~bytes_in:0 ~bytes_out:(String.length body)
           ~parse_s ~handle_s:0.0 ~write_s:0.0);
-  Buffer.clear st.w_hot.h_body;
-  Buffer.add_string st.w_hot.h_body body;
-  enqueue_response st c ~status ~content_type ~keep_alive:false ~id
+  Buffer.clear st.w_body;
+  Buffer.add_string st.w_body body;
+  enqueue_response st c ~status ~content_type ~keep_alive:false [ ("X-Request-Id", id) ]
 
+(* The handler renders into the cleared [w_body]; one that raises gets a
+   500 instead of taking the loop (and every other connection) down. *)
 and handle_one st c (req : Http.request) =
   let t_parsed = Unix.gettimeofday () in
   let id = request_id req in
@@ -820,7 +826,15 @@ and handle_one st c (req : Http.request) =
       ~args:(fun () ->
         [ ("id", Json.Str id); ("method", Json.Str req.Http.meth);
           ("path", Json.Str req.Http.path) ])
-      (fun () -> handle_into st.w_hot req)
+      (fun () ->
+        Buffer.clear st.w_body;
+        try st.w_handler req st.w_body
+        with e ->
+          Emc_obs.Log.warn ~src:"serve" "request handler raised: %s" (Printexc.to_string e);
+          let status, content_type, body = error_body 500 "internal" "internal error; see server log" in
+          Buffer.clear st.w_body;
+          Buffer.add_string st.w_body body;
+          (status, content_type))
   in
   let t_handled = Unix.gettimeofday () in
   let keep_alive =
@@ -831,7 +845,7 @@ and handle_one st c (req : Http.request) =
   in
   let meth = req.Http.meth and path = req.Http.path in
   let bytes_in = String.length req.Http.body in
-  let bytes_out = Buffer.length st.w_hot.h_body in
+  let bytes_out = Buffer.length st.w_body in
   let parse_s = t_parsed -. c.c_req_t0 and handle_s = t_handled -. t_parsed in
   c.c_post_write <-
     Some
@@ -839,14 +853,19 @@ and handle_one st c (req : Http.request) =
         publish_soon ();
         log_access ~id ~meth ~path ~status ~bytes_in ~bytes_out ~parse_s ~handle_s
           ~write_s:(Unix.gettimeofday () -. t_handled));
-  (* the body is already rendered in h_body by handle_into *)
-  enqueue_response st c ~status ~content_type ~keep_alive ~id
+  (* a fleet coordinator pipelines chunks and checks each response's
+     X-Chunk-Id against the request it expects next *)
+  let headers =
+    ("X-Request-Id", id)
+    :: (match Http.header req "x-chunk-id" with Some cid -> [ ("X-Chunk-Id", cid) ] | None -> [])
+  in
+  enqueue_response st c ~status ~content_type ~keep_alive headers
 
 and process_input st c =
   if (not c.c_writing) && not c.c_closed then begin
     let s = Buffer.contents c.c_inb in
     if s <> "" then
-      match Http.parse_request ~max_body:st.w_opts.max_body s with
+      match Http.parse_request ~max_body:st.w_max_body s with
       | Http.Incomplete ->
           if c.c_eof then protocol_error st c 400 "bad_request" "truncated request"
       | Http.Invalid (Http.Too_large what) ->
@@ -877,50 +896,39 @@ let on_readable st c =
   | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> close_conn st c
 
 (* Deadline expiry, by phase: a stalled reader mid-flush is cut off, a
-   dribbling request earns a 408 (matching the blocking daemon), a
-   silent idle connection closes without a response. *)
+   dribbling request earns a 408, a silent idle connection closes without
+   a response. *)
 let expire_conn st c =
   if c.c_writing then close_conn st c
   else if Buffer.length c.c_inb > 0 then protocol_error st c 408 "timeout" "request read timed out"
   else close_conn st c
 
-let worker art opts lsock =
+let serve_on ~max_body ~read_timeout ~idle_timeout ?(max_conns = 512) ?access_log lsock handler =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  stop := false;
   let quit = Sys.Signal_handle (fun _ -> stop := true) in
   Sys.set_signal Sys.sigterm quit;
   Sys.set_signal Sys.sigint quit;
-  (* per-worker trace file: the parent's buffered events are dropped and
-     this worker's spans go to EMC_TRACE.<pid> (workers exit with _exit,
-     so the parent's at_exit flush never runs here) *)
-  (match Sys.getenv_opt "EMC_TRACE" with
-  | Some p when p <> "" -> Trace.enable (Printf.sprintf "%s.%d" p (Unix.getpid ()))
-  | _ -> ());
-  (match !metrics_dir with
-  | Some dir ->
-      (* each worker's registry must record only what this worker served:
-         counts inherited from the pre-fork parent would otherwise be
-         republished by every worker and multiply in the merge *)
-      Metrics.reset ();
-      snapshot_file := Some (Filename.concat dir (Printf.sprintf "worker-%d.json" (Unix.getpid ())));
-      publish_snapshot () (* visible to scrapes before the first request *)
-  | None -> ());
-  (match opts.access_log with Some path -> open_access_log path | None -> ());
+  Option.iter open_access_log access_log;
   Unix.set_nonblock lsock;
   let st =
     {
-      w_opts = opts;
-      w_hot = make_hot art;
+      w_max_body = max_body;
+      w_read_timeout = read_timeout;
+      w_idle_timeout = idle_timeout;
+      w_handler = handler;
+      w_body = Buffer.create 4096;
       w_chunk = Bytes.create (16 * 1024);
       w_outbuf = Buffer.create 8192;
       w_conns = [];
     }
   in
-  (* Non-blocking accept burst: drain the shared listening socket until
-     EAGAIN (a sibling worker won the race — fair enough at this scale)
-     or this worker is at its connection cap. *)
+  (* Non-blocking accept burst: drain the listening socket until EAGAIN (a
+     sibling serve worker won the race — fair enough at this scale) or the
+     connection cap. *)
   let accept_burst () =
     let rec go () =
-      if List.length st.w_conns < opts.max_conns then
+      if List.length st.w_conns < max_conns then
         match Unix.accept lsock with
         | fd, _ ->
             Unix.set_nonblock fd;
@@ -949,13 +957,13 @@ let worker art opts lsock =
     go ()
   in
   (* On SIGTERM/SIGINT: stop accepting, let in-flight responses drain
-     (bounded), then flush the final snapshot and leave. *)
+     (bounded), then close everything and return. *)
   let drain_deadline = ref None in
   let running () =
     if not !stop then true
     else begin
       (match !drain_deadline with
-      | None -> drain_deadline := Some (Unix.gettimeofday () +. Float.min 5.0 opts.read_timeout)
+      | None -> drain_deadline := Some (Unix.gettimeofday () +. Float.min 5.0 read_timeout)
       | Some _ -> ());
       List.exists (fun c -> c.c_writing) st.w_conns
       && Unix.gettimeofday () < Option.get !drain_deadline
@@ -966,7 +974,7 @@ let worker art opts lsock =
     let now = Unix.gettimeofday () in
     List.iter (fun c -> if (not c.c_closed) && now >= conn_deadline st c then expire_conn st c)
       st.w_conns;
-    let accepting = (not !stop) && List.length st.w_conns < opts.max_conns in
+    let accepting = (not !stop) && List.length st.w_conns < max_conns in
     let rset =
       List.fold_left
         (fun acc c -> if c.c_writing || c.c_eof then acc else c.c_fd :: acc)
@@ -998,8 +1006,34 @@ let worker art opts lsock =
           w
   done;
   List.iter (fun c -> close_conn st c) st.w_conns;
+  close_access_log ()
+
+(* One pre-forked serve worker: its own trace file and metrics registry,
+   the scheduler, then a final snapshot and [_exit] (the parent's at_exit
+   handlers must not run here). *)
+let worker art opts lsock =
+  (* per-worker trace file: the parent's buffered events are dropped and
+     this worker's spans go to EMC_TRACE.<pid> *)
+  (match Sys.getenv_opt "EMC_TRACE" with
+  | Some p when p <> "" -> Trace.enable (Printf.sprintf "%s.%d" p (Unix.getpid ()))
+  | _ -> ());
+  (match !metrics_dir with
+  | Some dir ->
+      (* each worker's registry must record only what this worker served:
+         counts inherited from the pre-fork parent would otherwise be
+         republished by every worker and multiply in the merge *)
+      Metrics.reset ();
+      snapshot_file := Some (Filename.concat dir (Printf.sprintf "worker-%d.json" (Unix.getpid ())));
+      publish_snapshot () (* visible to scrapes before the first request *)
+  | None -> ());
+  let hot = make_hot art in
+  serve_on ~max_body:opts.max_body ~read_timeout:opts.read_timeout
+    ~idle_timeout:opts.idle_timeout ~max_conns:opts.max_conns ?access_log:opts.access_log lsock
+    (fun req b ->
+      let r = handle_into hot req in
+      Buffer.add_buffer b (hot_body hot);
+      r);
   publish_snapshot ();
-  close_access_log ();
   Trace.flush ();
   Unix._exit 0
 
@@ -1007,20 +1041,27 @@ let listen_description = function
   | Port p -> Printf.sprintf "127.0.0.1:%d" p
   | Unix_socket path -> path
 
-let bind_listener = function
-  | Unix_socket path ->
-      (match Unix.lstat path with
+let bind_listener sockaddr =
+  (match sockaddr with
+  | Unix.ADDR_UNIX path -> (
+      match Unix.lstat path with
       | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink path (* stale socket from a dead server *)
       | _ -> failwith (path ^ " exists and is not a socket; refusing to replace it")
-      | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
-      let s = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind s (Unix.ADDR_UNIX path);
-      (s, fun () -> (try Unix.unlink path with Unix.Unix_error _ -> ()))
-  | Port p ->
-      let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt s Unix.SO_REUSEADDR true;
-      Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, p));
-      (s, fun () -> ())
+      | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ())
+  | Unix.ADDR_INET _ -> ());
+  let s = Unix.socket (Unix.domain_of_sockaddr sockaddr) Unix.SOCK_STREAM 0 in
+  (match sockaddr with
+  | Unix.ADDR_INET _ -> Unix.setsockopt s Unix.SO_REUSEADDR true
+  | Unix.ADDR_UNIX _ -> ());
+  Unix.bind s sockaddr;
+  Unix.listen s 64;
+  let unbind () =
+    (try Unix.close s with Unix.Unix_error _ -> ());
+    match sockaddr with
+    | Unix.ADDR_UNIX path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+    | Unix.ADDR_INET _ -> ()
+  in
+  (s, unbind)
 
 let make_metrics_dir () =
   let dir =
@@ -1040,8 +1081,12 @@ let remove_metrics_dir dir =
   try Unix.rmdir dir with Unix.Unix_error _ -> ()
 
 let run opts art =
-  let lsock, cleanup = bind_listener opts.listen in
-  Unix.listen lsock 64;
+  let lsock, unbind =
+    bind_listener
+      (match opts.listen with
+      | Port p -> Unix.ADDR_INET (Unix.inet_addr_loopback, p)
+      | Unix_socket path -> Unix.ADDR_UNIX path)
+  in
   let workers = max 1 opts.workers in
   let dir = make_metrics_dir () in
   metrics_dir := Some dir;
@@ -1076,8 +1121,7 @@ let run opts art =
     !alive;
   let final = merged_snapshots dir in
   let total name = Option.value ~default:0 (List.assoc_opt name (Metrics.snapshot_counters final)) in
-  (try Unix.close lsock with Unix.Unix_error _ -> ());
-  cleanup ();
+  unbind ();
   remove_metrics_dir dir;
   metrics_dir := None;
   Emc_obs.Log.info ~src:"serve"

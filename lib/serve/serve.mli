@@ -51,10 +51,10 @@
 
     Concurrency: the daemon pre-forks [workers] processes (the [lib/par]
     fork pattern) sharing one non-blocking listening socket; {e each}
-    worker runs a select()-driven scheduler over up to [max_conns]
-    keep-alive connections, so N workers serve hundreds of concurrent
-    connections and a slow or idle client can never pin a worker the way
-    the old one-connection-per-worker loop could. Per-connection
+    worker runs the select()-driven scheduler {!serve_on} over up to
+    [max_conns] keep-alive connections, so N workers serve hundreds of
+    concurrent connections and a slow or idle client can never pin a
+    worker. The fleet daemons run the same scheduler in process. Per-connection
     deadlines are absolute: a request must complete within
     [read_timeout] of its first byte (dribblers get a 408), a response
     must drain within [read_timeout] (stalled readers are cut off), and
@@ -120,4 +120,44 @@ val hot_body : hot -> Buffer.t
 (** The response body rendered by the last {!handle_into}. *)
 
 val run : opts -> Emc_core.Artifact.t -> unit
-(** Bind, serve until SIGINT/SIGTERM, clean up. Blocks. *)
+(** Bind, fork [workers] copies of {!serve_on}, serve until SIGINT/SIGTERM,
+    clean up. Blocks. *)
+
+(** {1 The connection scheduler} shared by [emc serve] and the fleet
+    daemons *)
+
+type handler = Http.request -> Buffer.t -> int * string
+(** Render one response body into the (cleared) buffer and return its
+    [(status, content_type)]. A handler that raises is answered with a
+    structured 500. *)
+
+val serve_on :
+  max_body:int ->
+  read_timeout:float ->
+  idle_timeout:float ->
+  ?max_conns:int ->
+  ?access_log:string ->
+  Unix.file_descr ->
+  handler ->
+  unit
+(** Run the select()-driven connection scheduler over an already-bound,
+    listening socket until SIGINT/SIGTERM (it installs those handlers and
+    ignores SIGPIPE), then drain in-flight responses (bounded), close
+    every connection and return. [max_body], [read_timeout],
+    [idle_timeout], [max_conns] (default 512) and [access_log] mean what
+    the {!opts} fields of the same names do. Each response echoes the
+    request's [X-Request-Id] (generated when absent) and, when the
+    request carries one, its [X-Chunk-Id]. *)
+
+val bind_listener : Unix.sockaddr -> Unix.file_descr * (unit -> unit)
+(** Bind and listen (backlog 64), returning the socket and a function
+    that closes it and, for a Unix socket, unlinks its path. A stale
+    socket file at the path is replaced; any other file there is
+    refused with [Failure], never deleted. *)
+
+val json_body : int -> Emc_obs.Json.t -> int * string * string
+(** [(status, "application/json", body)], newline-terminated. *)
+
+val error_body : int -> string -> string -> int * string * string
+(** The structured error shape [{"error": {"code", "message"}}] with
+    [json_body]'s framing. *)

@@ -3,8 +3,9 @@
     the worker daemon as real forked processes on temp Unix sockets, the
     coordinator's bit-identity contract against a sequential in-process
     run (values and [measure.*] counters), crash retry against dead and
-    connection-dropping workers, run-journal resume with zero
-    re-simulation, and the [emc cache] maintenance pass. *)
+    connection-dropping workers, stalled peers against both daemons,
+    run-journal resume with zero re-simulation, and the [emc cache]
+    maintenance pass. *)
 
 open Emc_core
 module Fleet = Emc_fleet.Fleet
@@ -619,6 +620,107 @@ let test_registered_worker_death () =
   cb "age-out is heartbeat-driven: the long-TTL ghost remains" true
     (List.mem ghost (member_addrs store_path))
 
+(* ---------------- stalled peers ---------------- *)
+
+(* Two hostile clients held open against a daemon for the length of [f]:
+   one sent the first 8 bytes of a request and went silent, the other
+   connected and sent nothing. Neither may hold the daemon. *)
+let with_stalled_peers path f =
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX path);
+    fd
+  in
+  let partial = connect () in
+  let silent = connect () in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ partial; silent ])
+    (fun () ->
+      ignore (Unix.write_substring partial "GET /mem" 0 8);
+      (* let the daemon accept both and start on the partial request *)
+      ignore (Unix.select [] [] [] 0.1);
+      f ())
+
+let test_store_stalled_peers () =
+  let store_path = sock_path "sstore" in
+  let store_pid =
+    fork_daemon (fun () -> Fleet.run_store ~listen:(Fleet.Unix_sock store_path) ())
+  in
+  let worker_sock = sock_path "sworker" in
+  let worker_pid = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      Option.iter stop_daemon !worker_pid;
+      stop_daemon store_pid;
+      List.iter rm_f [ worker_sock; worker_sock ^ ".pid" ])
+  @@ fun () ->
+  wait_sock store_path;
+  with_stalled_peers store_path @@ fun () ->
+  let store = Fleet.Unix_sock store_path in
+  let t0 = Unix.gettimeofday () in
+  (match Fleet.members ~timeout:1.0 store with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "members with two stalled peers: %s" e);
+  cb "members answers in under 1 s" true (Unix.gettimeofday () -. t0 < 1.0);
+  (* heartbeats every 0.1 s, TTL three beats: a store that stops reading
+     them for 0.3 s ages the worker out *)
+  worker_pid :=
+    Some
+      (fork_daemon (fun () ->
+           Fleet.run_worker ~register:store ~heartbeat:0.1
+             ~listen:(Fleet.Unix_sock worker_sock) ()));
+  let listed () =
+    match Fleet.members ~timeout:1.0 store with
+    | Ok ms -> List.mem_assoc worker_sock ms
+    | Error e -> Alcotest.failf "members: %s" e
+  in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while not (listed ()) do
+    if Unix.gettimeofday () > deadline then Alcotest.fail "the worker never registered";
+    ignore (Unix.select [] [] [] 0.02)
+  done;
+  let t_end = Unix.gettimeofday () +. 1.2 in
+  while Unix.gettimeofday () < t_end do
+    cb "heartbeating worker stays listed past 3 TTLs" true (listed ());
+    ignore (Unix.select [] [] [] 0.05)
+  done
+
+let test_worker_stalled_peers () =
+  with_worker (fun path ->
+      with_stalled_peers path (fun () ->
+          (* a worker that read one connection at a time would sit in the
+             partial request for its hour-long read timeout; a 10 s
+             dispatch deadline turns that into a failure *)
+          run_through
+            ~options:{ Fleet.default_options with Fleet.chunk = 3; Fleet.read_timeout = 10.0 }
+            [ path ]))
+
+let test_bind_refuses_regular_file () =
+  let path = Filename.temp_file "emc_not_a_socket" ".sock" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc "precious\n");
+  Fun.protect ~finally:(fun () -> rm_f path) @@ fun () ->
+  let pid = fork_daemon (fun () -> Fleet.run_store ~listen:(Fleet.Unix_sock path) ()) in
+  (* a refusal raises at once (fork_daemon exits 1); a store that replaced
+     the file would still be serving *)
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ ->
+        if Unix.gettimeofday () > deadline then begin
+          kill_daemon pid;
+          Alcotest.fail "run_store is serving on top of a regular file"
+        end
+        else begin
+          ignore (Unix.select [] [] [] 0.02);
+          wait ()
+        end
+    | _, status -> status
+  in
+  cb "run_store raised" true (wait () = Unix.WEXITED 1);
+  cs "the file survives untouched" "precious\n"
+    (In_channel.with_open_bin path In_channel.input_all)
+
 (* ---------------- run journals ---------------- *)
 
 let with_run_dir f =
@@ -768,6 +870,9 @@ let suite =
     ("elastic: worker joins mid-run", `Slow, test_elastic_join_mid_run);
     ("elastic: drain mid-run loses nothing", `Slow, test_elastic_drain_mid_run);
     ("elastic: dead worker retried, SIGKILL ages out", `Slow, test_registered_worker_death);
+    ("stalled peers hold neither /members nor heartbeats", `Slow, test_store_stalled_peers);
+    ("stalled peers do not delay a worker's /measure", `Slow, test_worker_stalled_peers);
+    ("a daemon never replaces a regular file", `Quick, test_bind_refuses_regular_file);
     ("dead worker: chunk retried elsewhere", `Slow, test_fleet_retries_dead_worker);
     ("dropped connection: chunk retried", `Slow, test_fleet_retries_dropped_connection);
     ("all workers dead raises Fleet_error", `Quick, test_all_workers_dead);

@@ -612,10 +612,9 @@ let test_access_log () =
 
 (* ---------------- Http reader regressions ---------------- *)
 
-(* Two complete requests in one write. The reader slurps past the first
-   body; the surplus is the second request and must come back through
-   [carry] — the pre-carry client silently discarded it, deadlocking any
-   pipelined connection. *)
+(* Two complete responses in one write. The reader slurps past the first
+   body; the surplus is the second response and must come back through
+   [carry] — dropped, it would deadlock a pipelined connection. *)
 let test_http_pipelined_carry () =
   let client, server = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -624,25 +623,26 @@ let test_http_pipelined_carry () =
         (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
         [ client; server ])
     (fun () ->
-      let req i body =
-        Printf.sprintf "POST /m%d HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" i
+      let resp i body =
+        Printf.sprintf "HTTP/1.1 200 OK\r\nX-Seq: %d\r\nContent-Length: %d\r\n\r\n%s" i
           (String.length body) body
       in
-      let bytes = req 1 "alpha" ^ req 2 "beta-longer" in
-      ignore (Unix.write_substring client bytes 0 (String.length bytes));
-      Unix.shutdown client Unix.SHUTDOWN_SEND;
+      let bytes = resp 1 "alpha" ^ resp 2 "beta-longer" in
+      ignore (Unix.write_substring server bytes 0 (String.length bytes));
+      Unix.shutdown server Unix.SHUTDOWN_SEND;
       let carry = ref "" in
-      (match Http.read_request ~timeout:2.0 ~carry server with
+      (match Http.read_response ~timeout:2.0 ~carry client with
       | Ok r ->
-          Alcotest.(check string) "first path" "/m1" r.Http.path;
-          Alcotest.(check string) "first body" "alpha" r.Http.body
-      | Error e -> Alcotest.failf "first request: %s" (Http.error_to_string e));
-      match Http.read_request ~timeout:2.0 ~carry server with
+          Alcotest.(check (option string)) "first response" (Some "1")
+            (Http.response_header r "x-seq");
+          Alcotest.(check string) "first body" "alpha" r.Http.resp_body
+      | Error e -> Alcotest.failf "first response: %s" (Http.error_to_string e));
+      match Http.read_response ~timeout:2.0 ~carry client with
       | Ok r ->
-          Alcotest.(check string) "second path survives the first body's read-ahead"
-            "/m2" r.Http.path;
-          Alcotest.(check string) "second body" "beta-longer" r.Http.body
-      | Error e -> Alcotest.failf "second request: %s" (Http.error_to_string e))
+          Alcotest.(check (option string)) "second response survives the first body's read-ahead"
+            (Some "2") (Http.response_header r "x-seq");
+          Alcotest.(check string) "second body" "beta-longer" r.Http.resp_body
+      | Error e -> Alcotest.failf "second response: %s" (Http.error_to_string e))
 
 (* A peer dribbling one byte per interval. Each byte lands well inside any
    per-read socket timeout, so only an absolute deadline can stop this —
@@ -964,9 +964,108 @@ let prop_parse_split_invariant =
       in
       every 0)
 
+(* The same invariant for the client reader. Each piece is one write on a
+   SOCK_SEQPACKET socketpair, whose record boundaries make every write
+   arrive as its own read — so the split really happens where the
+   generator put it, deterministically. Pieces stay under the reader's
+   4 KiB read size, which would otherwise truncate a record. *)
+let read_pieces ?(max_header = 16 * 1024) ?(max_body = 8 * 1024 * 1024) pieces =
+  let client, server = Unix.socketpair Unix.PF_UNIX Unix.SOCK_SEQPACKET 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ client; server ])
+    (fun () ->
+      List.iter
+        (fun p -> if p <> "" then ignore (Unix.write_substring server p 0 (String.length p)))
+        pieces;
+      Unix.shutdown server Unix.SHUTDOWN_SEND;
+      Http.read_response ~max_header ~max_body ~timeout:2.0 client)
+
+let http_response =
+  let open QCheck.Gen in
+  let line = oneofl [ "HTTP/1.1 200 OK"; "HTTP/1.0 404 Not Found"; "HTTP/1.1 x Bad"; "ICY 200" ] in
+  let header =
+    oneof
+      [
+        map (fun n -> Printf.sprintf "X-Pad: %s\r\n" (String.make n 'a')) (int_range 0 70);
+        return "Content-Length: x\r\n";
+        return "Connection: close\r\n";
+      ]
+  in
+  let body =
+    map2
+      (fun n declared ->
+        let b = String.make n 'b' in
+        match declared with
+        | `Exact -> (Printf.sprintf "Content-Length: %d\r\n" n, b)
+        | `Short -> (Printf.sprintf "Content-Length: %d\r\n" (n + 1), b)
+        | `Over -> (Printf.sprintf "Content-Length: %d\r\n" (max_body + 1 + n), b)
+        | `None -> ("", ""))
+      (int_range 0 30)
+      (oneofl [ `Exact; `Exact; `Short; `Over; `None ])
+  in
+  let response =
+    map3
+      (fun l hs (cl, b) -> l ^ "\r\n" ^ String.concat "" hs ^ cl ^ "\r\n" ^ b)
+      line (list_size (int_range 0 2) header) body
+  in
+  oneof
+    [
+      response;
+      map2 ( ^ ) response response;
+      map (fun n -> String.make n 'z') (int_range 0 (max_header + 8));
+    ]
+
+let show_read = function
+  | Ok r -> Printf.sprintf "Ok (%d, %S)" r.Http.status r.Http.resp_body
+  | Error e -> "Error (" ^ Http.error_to_string e ^ ")"
+
+let prop_read_split_invariant =
+  QCheck.Test.make ~name:"read_response: any two-write split reads like the whole" ~count:200
+    (QCheck.make ~print:String.escaped http_response)
+    (fun msg ->
+      let read pieces = read_pieces ~max_header ~max_body pieces in
+      let whole = read [ msg ] in
+      let rec every k =
+        k > String.length msg
+        ||
+        let fed = read [ String.sub msg 0 k; String.sub msg k (String.length msg - k) ] in
+        (fed = whole
+        || QCheck.Test.fail_reportf "split at %d of %d: %s, whole: %s" k (String.length msg)
+             (show_read fed) (show_read whole))
+        && every (k + 1)
+      in
+      every 0)
+
+(* The head cap at its real size (16 KiB), where the reader sees the head
+   4 KiB at a time: a terminator starting at 16381-16384 is within the cap
+   even when a read splits it, and one starting later is refused even
+   when it arrives in the same read as the rest of the head. *)
+let test_read_response_head_cap () =
+  let cap = 16 * 1024 in
+  let response term_at = "HTTP/1.1 200 OK\r\nX-Pad: " ^ String.make (term_at - 24) 'a' ^ "\r\n\r\n" in
+  let rec records s =
+    if String.length s <= 4096 then [ s ] else String.sub s 0 4096 :: records (String.sub s 4096 (String.length s - 4096))
+  in
+  let ok = function Ok r -> r.Http.status = 200 | Error _ -> false in
+  for term_at = cap - 3 to cap + 1 do
+    let msg = response term_at in
+    cb (Printf.sprintf "terminator at %d, whole" term_at) (term_at <= cap) (ok (read_pieces (records msg)));
+    for inside = 1 to 3 do
+      let k = term_at + inside in
+      let pieces = records (String.sub msg 0 k) @ [ String.sub msg k (String.length msg - k) ] in
+      cb (Printf.sprintf "terminator at %d, split %d bytes in" term_at inside) (term_at <= cap)
+        (ok (read_pieces pieces))
+    done
+  done;
+  (* the last head read carries the terminator and overshoots the cap *)
+  cb "terminator past the cap in the same read" true
+    (read_pieces (records (response (cap + 2000))) = Error (Http.Too_large "headers"))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_parse_split_invariant;
+    QCheck_alcotest.to_alcotest prop_read_split_invariant;
     Alcotest.test_case "routing and structured errors (in-process)" `Quick
       test_routing_no_socket;
     Alcotest.test_case "/rank rejects malformed ?top" `Quick test_rank_top_validation;
@@ -990,6 +1089,8 @@ let suite =
       test_http_dribble_timeout;
     Alcotest.test_case "http: EINTR does not restart the timeout" `Quick
       test_http_eintr_budget;
+    Alcotest.test_case "http: read_response head cap at 16 KiB" `Quick
+      test_read_response_head_cap;
     Alcotest.test_case "mux: two connections pipeline through one worker" `Quick
       test_multiplexed_pipelining;
     Alcotest.test_case "mux: idle deadline closes a silent connection" `Quick
