@@ -769,16 +769,11 @@ let pareto_cmd =
           match mfile with
           | Some path -> (
               let a = load_artifact path in
-              match Artifact.extra_repr a "energy" with
+              match Artifact.extra_model a "energy" with
               | None ->
                   die "%s carries no \"energy\" response model; retrain with emc train --energy"
                     path
-              | Some r ->
-                  ( a.Artifact.workload,
-                    Artifact.model a,
-                    { Emc_regress.Model.technique = "energy";
-                      predict = Emc_regress.Repr.eval r; n_params = 0; terms = [];
-                      repr = Some r } ))
+              | Some energy -> (a.Artifact.workload, Artifact.model a, energy))
           | None ->
               let w = Registry.find wname in
               let scale = parse_scale ?jobs scale in

@@ -8,8 +8,9 @@
     [emc train --out model.json] writes one; [emc predict / rank / search
     --model] and the {!Emc_serve} daemon consume it. Loading is total: a
     missing file, truncated or corrupt JSON, a wrong format header, an
-    unsupported version or a malformed repr all come back as [Error] with a
-    one-line diagnostic — never an exception. *)
+    unsupported version, a malformed repr or one whose arity disagrees
+    with the schema all come back as [Error] with a one-line diagnostic —
+    never an exception. *)
 
 type t = {
   workload : string;
@@ -45,13 +46,20 @@ val of_model :
   ?extra:(string * Emc_regress.Repr.t) list ->
   Emc_regress.Model.t ->
   (t, string) result
-(** [Error] when the model carries no serializable repr (stubs, trees).
-    [specs] defaults to {!Params.all_specs} (the 25-parameter space);
-    [extra] (named additional response reprs) defaults to []. *)
+(** [Error] when the model carries no serializable repr (stubs, trees),
+    or when the repr or an [extra] one does not fit the schema's arity
+    ({!Emc_regress.Repr.check_dims}). [specs] defaults to
+    {!Params.all_specs} (the 25-parameter space); [extra] (named
+    additional response reprs) defaults to []. *)
 
 val extra_repr : t -> string -> Emc_regress.Repr.t option
 (** Look up an additional named response model, e.g.
     [extra_repr a "energy"]. *)
+
+val extra_model : t -> string -> Emc_regress.Model.t option
+(** {!extra_repr} as a model (technique [name], predicting through
+    {!Emc_regress.Repr.eval}), e.g. the energy objective of the Pareto
+    search. *)
 
 val model : t -> Emc_regress.Model.t
 (** Reconstruct the model. Its [predict] is bit-identical to the fitted

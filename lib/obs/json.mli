@@ -37,3 +37,23 @@ val hex : float -> t
 
 val hex_of : t -> float option
 (** Read a float written by {!hex}; plain JSON numbers are also accepted. *)
+
+(** {2 Strict decoders}
+
+    Shared by the loaders that must be total (model reprs, artifacts):
+    a missing field or a value of the wrong type is an [Error] with a
+    one-line message, never an exception. *)
+
+val field : string -> t -> (t, string) result
+(** The value under a key; [Error "missing field \"k\""] when absent. *)
+
+val as_float : t -> (float, string) result
+(** A JSON number, or a string holding a float literal (e.g. {!hex}). *)
+
+val as_bool : t -> (bool, string) result
+val as_int : t -> (int, string) result
+val as_str : t -> (string, string) result
+val as_list : t -> (t list, string) result
+
+val map_result : ('a -> ('b, string) result) -> 'a list -> ('b list, string) result
+(** [List.map] that stops at the first [Error]. *)

@@ -82,198 +82,137 @@ let dist2 a b =
     a;
   !acc
 
-let rec eval r x =
-  match r with
-  | Linear { interactions; beta; mu; sd } ->
-      let f = expand ~interactions x in
-      let acc = ref 0.0 in
-      Array.iteri (fun i v -> acc := !acc +. (v *. beta.(i))) f;
-      (!acc *. sd) +. mu
-  | Mars { bases; weights; mu; sd } ->
-      let acc = ref 0.0 in
-      Array.iteri (fun i b -> acc := !acc +. (weights.(i) *. eval_basis b x)) bases;
-      (!acc *. sd) +. mu
-  | Rbf { kernel; centers; radii; weights; mu; sd } ->
-      let acc = ref weights.(0) in
-      Array.iteri
-        (fun j c -> acc := !acc +. (weights.(j + 1) *. eval_kernel kernel ~r:radii.(j) (dist2 x c)))
-        centers;
-      (!acc *. sd) +. mu
-  | Rank { interactions; beta } ->
-      (* a unitless ranking score over the same feature expansion as
-         Linear, without response standardization: only order matters *)
-      let f = expand ~interactions x in
-      let acc = ref 0.0 in
-      Array.iteri (fun i v -> acc := !acc +. (v *. beta.(i))) f;
-      !acc
-  | Clamp { lo; hi; body } -> Float.max lo (Float.min hi (eval body x))
-
-(* Like [expand] but into a caller-owned array: the serving hot path
-   evaluates the same representation for every request and must not
-   allocate a fresh feature vector per point. *)
-let expand_into ~interactions x out =
+(* The dot product of [beta] with the [expand ~interactions x] row,
+   without building the row: the same products summed in the same order
+   ([1·β₀], then [xᵢ·β₁₊ᵢ], then [(xᵢ·xⱼ)·β_idx]), so the result is the
+   one the fitters' design matrices imply, bit for bit, and evaluation
+   allocates no feature row. *)
+let dot_expanded ~interactions beta x =
   let k = Array.length x in
-  out.(0) <- 1.0;
-  Array.blit x 0 out 1 k;
+  let acc = ref (0.0 +. (1.0 *. beta.(0))) in
+  for i = 0 to k - 1 do
+    acc := !acc +. (x.(i) *. beta.(1 + i))
+  done;
   if interactions then begin
     let idx = ref (1 + k) in
     for i = 0 to k - 1 do
       for j = i to k - 1 do
-        out.(!idx) <- x.(i) *. x.(j);
+        acc := !acc +. (x.(i) *. x.(j) *. beta.(!idx));
         incr idx
       done
     done
-  end
+  end;
+  !acc
 
-(* A compiled evaluator: the representation dispatch and the feature
-   scratch allocation are hoisted out of the per-point call. The
-   arithmetic is the same operations in the same order as [eval], so
-   results are bit-identical; the scratch is reused across calls, so a
-   compiled closure must not be shared between concurrent evaluators
-   (each pre-forked server worker compiles its own). *)
-let rec compile r =
+let rec eval r x =
   match r with
-  | Linear { interactions; beta; mu; sd } ->
-      let scratch = Array.make (Array.length beta) 1.0 in
-      fun x ->
-        let nf = n_features ~interactions (Array.length x) in
-        if nf > Array.length scratch then
-          invalid_arg "Repr.compile: point arity exceeds the fitted dimensionality";
-        expand_into ~interactions x scratch;
-        let acc = ref 0.0 in
-        for i = 0 to nf - 1 do
-          acc := !acc +. (scratch.(i) *. beta.(i))
-        done;
-        (!acc *. sd) +. mu
+  | Linear { interactions; beta; mu; sd } -> (dot_expanded ~interactions beta x *. sd) +. mu
   | Mars { bases; weights; mu; sd } ->
-      fun x ->
-        let acc = ref 0.0 in
-        Array.iteri (fun i b -> acc := !acc +. (weights.(i) *. eval_basis b x)) bases;
-        (!acc *. sd) +. mu
+      let acc = ref 0.0 in
+      for i = 0 to Array.length bases - 1 do
+        acc := !acc +. (weights.(i) *. eval_basis bases.(i) x)
+      done;
+      (!acc *. sd) +. mu
   | Rbf { kernel; centers; radii; weights; mu; sd } ->
-      fun x ->
-        let acc = ref weights.(0) in
-        Array.iteri
-          (fun j c ->
-            acc := !acc +. (weights.(j + 1) *. eval_kernel kernel ~r:radii.(j) (dist2 x c)))
-          centers;
-        (!acc *. sd) +. mu
+      let acc = ref weights.(0) in
+      for j = 0 to Array.length centers - 1 do
+        acc := !acc +. (weights.(j + 1) *. eval_kernel kernel ~r:radii.(j) (dist2 x centers.(j)))
+      done;
+      (!acc *. sd) +. mu
   | Rank { interactions; beta } ->
-      let scratch = Array.make (Array.length beta) 1.0 in
-      fun x ->
-        let nf = n_features ~interactions (Array.length x) in
-        if nf > Array.length scratch then
-          invalid_arg "Repr.compile: point arity exceeds the fitted dimensionality";
-        expand_into ~interactions x scratch;
-        let acc = ref 0.0 in
-        for i = 0 to nf - 1 do
-          acc := !acc +. (scratch.(i) *. beta.(i))
-        done;
-        !acc
-  | Clamp { lo; hi; body } ->
-      let f = compile body in
-      fun x -> Float.max lo (Float.min hi (f x))
+      (* a unitless ranking score over the same feature expansion as
+         Linear, without response standardization: only order matters *)
+      dot_expanded ~interactions beta x
+  | Clamp { lo; hi; body } -> Float.max lo (Float.min hi (eval body x))
+
+let rec check_dims dims = function
+  | Linear { interactions; beta; _ } | Rank { interactions; beta } ->
+      let want = n_features ~interactions dims in
+      if Array.length beta = want then Ok ()
+      else
+        Error
+          (Printf.sprintf "%d coefficients for %d inputs (want %d)" (Array.length beta) dims
+             want)
+  | Mars { bases; _ } -> (
+      match List.find_opt (fun f -> f.dim >= dims) (List.concat (Array.to_list bases)) with
+      | Some f -> Error (Printf.sprintf "mars basis on dimension %d of %d inputs" f.dim dims)
+      | None -> Ok ())
+  | Rbf { centers; _ } -> (
+      match Array.find_opt (fun c -> Array.length c <> dims) centers with
+      | Some c ->
+          Error (Printf.sprintf "rbf center of %d dimensions for %d inputs" (Array.length c) dims)
+      | None -> Ok ())
+  | Clamp { body; _ } -> check_dims dims body
 
 (* ---------------- JSON ---------------- *)
 
-(* Floats travel as hex literals (like the measurement cache): decimal JSON
-   numbers would round-trip too at 17 digits, but hex makes the exactness
-   contract explicit and survives any printer/parser in between. *)
-let jfloat v = Json.Str (Printf.sprintf "%h" v)
-
-let jfloats a = Json.List (Array.to_list (Array.map jfloat a))
+let jfloats a = Json.List (Array.to_list (Array.map Json.hex a))
 
 let factor_to_json f =
-  Json.Obj [ ("dim", Json.Int f.dim); ("knot", jfloat f.knot); ("positive", Json.Bool f.positive) ]
+  Json.Obj
+    [ ("dim", Json.Int f.dim); ("knot", Json.hex f.knot); ("positive", Json.Bool f.positive) ]
 
 let rec to_json = function
   | Linear { interactions; beta; mu; sd } ->
       Json.Obj
         [ ("family", Json.Str "linear"); ("interactions", Json.Bool interactions);
-          ("beta", jfloats beta); ("mu", jfloat mu); ("sd", jfloat sd) ]
+          ("beta", jfloats beta); ("mu", Json.hex mu); ("sd", Json.hex sd) ]
   | Mars { bases; weights; mu; sd } ->
       Json.Obj
         [ ("family", Json.Str "mars");
           ("bases",
            Json.List
              (Array.to_list (Array.map (fun b -> Json.List (List.map factor_to_json b)) bases)));
-          ("weights", jfloats weights); ("mu", jfloat mu); ("sd", jfloat sd) ]
+          ("weights", jfloats weights); ("mu", Json.hex mu); ("sd", Json.hex sd) ]
   | Rbf { kernel; centers; radii; weights; mu; sd } ->
       Json.Obj
         [ ("family", Json.Str "rbf"); ("kernel", Json.Str (kernel_name kernel));
           ("centers", Json.List (Array.to_list (Array.map jfloats centers)));
-          ("radii", jfloats radii); ("weights", jfloats weights); ("mu", jfloat mu);
-          ("sd", jfloat sd) ]
+          ("radii", jfloats radii); ("weights", jfloats weights); ("mu", Json.hex mu);
+          ("sd", Json.hex sd) ]
   | Rank { interactions; beta } ->
       Json.Obj
         [ ("family", Json.Str "rank"); ("interactions", Json.Bool interactions);
           ("beta", jfloats beta) ]
   | Clamp { lo; hi; body } ->
       Json.Obj
-        [ ("family", Json.Str "clamp"); ("lo", jfloat lo); ("hi", jfloat hi);
+        [ ("family", Json.Str "clamp"); ("lo", Json.hex lo); ("hi", Json.hex hi);
           ("body", to_json body) ]
 
 let ( let* ) = Result.bind
 
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let as_float = function
-  | Json.Float f -> Ok f
-  | Json.Int i -> Ok (float_of_int i)
-  | Json.Str s -> (
-      match float_of_string_opt s with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "malformed float literal %S" s))
-  | _ -> Error "expected a float"
-
-let as_bool = function Json.Bool b -> Ok b | _ -> Error "expected a bool"
-
-let as_int = function Json.Int i -> Ok i | _ -> Error "expected an int"
-
-let as_str = function Json.Str s -> Ok s | _ -> Error "expected a string"
-
-let as_list = function Json.List l -> Ok l | _ -> Error "expected a list"
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
 let ffield name j =
-  let* v = field name j in
-  as_float v
+  let* v = Json.field name j in
+  Json.as_float v
 
 let float_array name j =
-  let* v = field name j in
-  let* l = as_list v in
-  let* fs = map_result as_float l in
+  let* v = Json.field name j in
+  let* l = Json.as_list v in
+  let* fs = Json.map_result Json.as_float l in
   Ok (Array.of_list fs)
 
 let factor_of_json j =
-  let* dim = Result.bind (field "dim" j) as_int in
+  let* dim = Result.bind (Json.field "dim" j) Json.as_int in
   let* knot = ffield "knot" j in
-  let* positive = Result.bind (field "positive" j) as_bool in
+  let* positive = Result.bind (Json.field "positive" j) Json.as_bool in
   if dim < 0 then Error "negative basis dimension" else Ok { dim; knot; positive }
 
 let rec of_json j =
-  let* fam = Result.bind (field "family" j) as_str in
+  let* fam = Result.bind (Json.field "family" j) Json.as_str in
   match fam with
   | "linear" ->
-      let* interactions = Result.bind (field "interactions" j) as_bool in
+      let* interactions = Result.bind (Json.field "interactions" j) Json.as_bool in
       let* beta = float_array "beta" j in
       let* mu = ffield "mu" j in
       let* sd = ffield "sd" j in
       if Array.length beta = 0 then Error "linear model with no coefficients"
       else Ok (Linear { interactions; beta; mu; sd })
   | "mars" ->
-      let* bl = Result.bind (field "bases" j) as_list in
+      let* bl = Result.bind (Json.field "bases" j) Json.as_list in
       let* bases =
-        map_result (fun b -> Result.bind (as_list b) (map_result factor_of_json)) bl
+        Json.map_result
+          (fun b -> Result.bind (Json.as_list b) (Json.map_result factor_of_json))
+          bl
       in
       let bases = Array.of_list bases in
       let* weights = float_array "weights" j in
@@ -285,15 +224,18 @@ let rec of_json j =
              (Array.length bases))
       else Ok (Mars { bases; weights; mu; sd })
   | "rbf" ->
-      let* kname = Result.bind (field "kernel" j) as_str in
+      let* kname = Result.bind (Json.field "kernel" j) Json.as_str in
       let* kernel =
         match kernel_of_name kname with
         | Some k -> Ok k
         | None -> Error (Printf.sprintf "unknown RBF kernel %S" kname)
       in
-      let* cl = Result.bind (field "centers" j) as_list in
+      let* cl = Result.bind (Json.field "centers" j) Json.as_list in
       let* centers =
-        map_result (fun c -> Result.map Array.of_list (Result.bind (as_list c) (map_result as_float))) cl
+        Json.map_result
+          (fun c ->
+            Result.map Array.of_list (Result.bind (Json.as_list c) (Json.map_result Json.as_float)))
+          cl
       in
       let centers = Array.of_list centers in
       let* radii = float_array "radii" j in
@@ -307,13 +249,13 @@ let rec of_json j =
              (Array.length weights) (Array.length centers))
       else Ok (Rbf { kernel; centers; radii; weights; mu; sd })
   | "rank" ->
-      let* interactions = Result.bind (field "interactions" j) as_bool in
+      let* interactions = Result.bind (Json.field "interactions" j) Json.as_bool in
       let* beta = float_array "beta" j in
       if Array.length beta = 0 then Error "rank model with no coefficients"
       else Ok (Rank { interactions; beta })
   | "clamp" ->
       let* lo = ffield "lo" j in
       let* hi = ffield "hi" j in
-      let* body = Result.bind (field "body" j) of_json in
+      let* body = Result.bind (Json.field "body" j) of_json in
       Ok (Clamp { lo; hi; body })
   | other -> Error (Printf.sprintf "unknown model family %S" other)

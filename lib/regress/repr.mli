@@ -4,9 +4,9 @@
     closed-form expression over its coefficients; [Repr.t] spells that
     expression out as data so a trained model can leave the process that fit
     it — saved to an artifact file, reloaded elsewhere, and served — while
-    {!eval} reproduces the fitted closure {e bit for bit} (the fit functions
-    build their returned [predict] from the repr, so there is exactly one
-    evaluation code path).
+    {!eval} reproduces the fitted closure {e bit for bit}: the fit functions
+    build their returned [predict] from the repr, and the serving daemon
+    calls the same {!eval}, so there is exactly one evaluator.
 
     JSON round-trips ({!to_json} / {!of_json}) carry every float as a hex
     literal ([%h]), the same convention as the persistent measurement cache,
@@ -70,22 +70,20 @@ val eval_kernel : kernel -> r:float -> float -> float
 val dist2 : float array -> float array -> float
 
 val eval : t -> float array -> float
-(** Evaluate at a coded design point. Bit-identical to the [predict] of the
-    model the repr was extracted from. The point's arity must match the
-    repr (callers validate against the artifact's parameter schema). *)
+(** Evaluate at a coded design point — the one evaluator, used by fitted
+    models, loaded artifacts and the serving daemon alike. Bit-identical
+    to the [predict] of the model the repr was extracted from. [Linear]
+    and [Rank] accumulate the dot product with the {!expand} row in that
+    row's order without materializing it. [eval] keeps no scratch, so
+    one repr may be evaluated from any number of places at once. The point's arity must match the repr
+    ({!check_dims}; callers validate against the artifact's parameter
+    schema). *)
 
-val expand_into : interactions:bool -> float array -> float array -> unit
-(** [expand] into a caller-owned array of at least
-    [n_features ~interactions (Array.length x)] cells — the serving hot
-    path's allocation-free variant. *)
-
-val compile : t -> float array -> float
-(** [compile r] hoists the representation dispatch and the feature
-    scratch out of the per-point call: [compile r x = eval r x] bit for
-    bit, with no per-call allocation for [Linear]/[Rank]. The compiled
-    closure reuses internal scratch, so it must not be shared between
-    concurrent evaluators — compile one per worker. Points must have the
-    fitted arity (validated upstream by the artifact schema). *)
+val check_dims : int -> t -> (unit, string) result
+(** [Ok] when the repr evaluates points of this arity: a [Linear]/[Rank]
+    [beta] of [n_features] length, every MARS hinge on a dimension below
+    it and every RBF center of exactly that length (through [Clamp]).
+    The [Error] names the mismatch in one line. *)
 
 (** {2 JSON round-trip} *)
 

@@ -243,14 +243,8 @@ let as_float = function
       | None -> Error (Printf.sprintf "malformed number %S" s))
   | _ -> Error "expected a number"
 
-let point_of_json j =
-  match j with
-  | Json.List vs -> (
-      let rec go acc = function
-        | [] -> Ok (Array.of_list (List.rev acc))
-        | v :: rest -> ( match as_float v with Ok f -> go (f :: acc) rest | Error e -> Error e)
-      in
-      go [] vs)
+let point_of_json = function
+  | Json.List vs -> Result.map Array.of_list (Json.map_result as_float vs)
   | _ -> Error "each point must be a list of numbers"
 
 let parse_json_body (req : Http.request) =
@@ -267,62 +261,6 @@ let parse_json_body (req : Http.request) =
       match Json.parse req.Http.body with
       | Ok j -> Ok j
       | Error e -> Error (400, "bad_json", "malformed JSON body: " ^ e))
-
-(* /predict: single point or batch, coded (default) or raw space. *)
-let max_batch = 4096
-
-let handle_predict art (req : Http.request) =
-  let* j = parse_json_body req in
-  let* space =
-    match Json.member "space" j with
-    | None | Some (Json.Str "coded") -> Ok `Coded
-    | Some (Json.Str "raw") -> Ok `Raw
-    | Some (Json.Str s) -> Error (400, "bad_request", Printf.sprintf "unknown space %S (want \"coded\" or \"raw\")" s)
-    | Some _ -> Error (400, "bad_request", "\"space\" must be a string")
-  in
-  let* points, batched =
-    match (Json.member "point" j, Json.member "points" j) with
-    | Some p, None -> (
-        match point_of_json p with
-        | Ok x -> Ok ([ x ], false)
-        | Error e -> Error (400, "bad_request", e))
-    | None, Some (Json.List ps) ->
-        if List.length ps > max_batch then
-          Error (413, "too_many_points", Printf.sprintf "batch of %d points exceeds the %d cap" (List.length ps) max_batch)
-        else
-          let rec go acc = function
-            | [] -> Ok (List.rev acc, true)
-            | p :: rest -> (
-                match point_of_json p with
-                | Ok x -> go (x :: acc) rest
-                | Error e -> Error (400, "bad_request", e))
-          in
-          go [] ps
-    | None, Some _ -> Error (400, "bad_request", "\"points\" must be a list of points")
-    | None, None -> Error (400, "bad_request", "body must carry \"point\" or \"points\"")
-    | Some _, Some _ -> Error (400, "bad_request", "give either \"point\" or \"points\", not both")
-  in
-  let* coded =
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | x :: rest -> (
-          let r =
-            match space with
-            | `Coded -> ( match Artifact.validate_point art x with Ok () -> Ok x | Error e -> Error e)
-            | `Raw -> Artifact.code_raw art x
-          in
-          match r with
-          | Ok x -> go (x :: acc) rest
-          | Error e -> Error (400, "bad_point", e))
-    in
-    go [] points
-  in
-  let predict = Emc_regress.Repr.eval art.Artifact.repr in
-  match (coded, batched) with
-  | [ x ], false -> json_body 200 (Json.Obj [ ("prediction", Json.Float (predict x)) ])
-  | xs, _ ->
-      json_body 200
-        (Json.Obj [ ("predictions", Json.List (List.map (fun x -> Json.Float (predict x)) xs)) ])
 
 let handle_rank art (req : Http.request) =
   let* top =
@@ -419,20 +357,14 @@ let handle_search art (req : Http.request) =
 
 let handle_pareto art (req : Http.request) =
   let* j = parse_json_body req in
-  let* energy_repr =
-    match Artifact.extra_repr art "energy" with
-    | Some r -> Ok r
-    | None ->
-        Error
-          (409, "no_energy_response",
-           "artifact carries no \"energy\" response model; retrain with emc train --energy")
+  let* energy_model =
+    Option.to_result (Artifact.extra_model art "energy")
+      ~none:
+        (409, "no_energy_response",
+         "artifact carries no \"energy\" response model; retrain with emc train --energy")
   in
   let* march = march_of_body j in
   let* seed, params = search_params j in
-  let energy_model =
-    { Emc_regress.Model.technique = "energy"; predict = Emc_regress.Repr.eval energy_repr;
-      n_params = 0; terms = []; repr = Some energy_repr }
-  in
   let evals_before = Option.value ~default:0 (Metrics.counter_value "pareto.evaluations") in
   let front =
     Searcher.search_pareto ~params ~rng:(Emc_util.Rng.create seed)
@@ -454,56 +386,21 @@ let handle_healthz art (_req : Http.request) =
 
 let endpoints = [ "/predict"; "/rank"; "/search"; "/pareto"; "/healthz"; "/metrics" ]
 
-let dispatch art (req : Http.request) =
-  match (req.Http.meth, req.Http.path) with
-  | "POST", "/predict" -> handle_predict art req
-  | "GET", "/rank" | "POST", "/rank" -> handle_rank art req
-  | "POST", "/search" -> handle_search art req
-  | "POST", "/pareto" -> handle_pareto art req
-  | "GET", "/healthz" -> handle_healthz art req
-  | "GET", "/metrics" ->
-      (200, "text/plain; version=0.0.4", prometheus_of_snapshot (aggregated_snapshot ()))
-  | _, p when List.mem p endpoints ->
-      error_body 405 "method_not_allowed" (req.Http.meth ^ " is not supported on " ^ p)
-  | _, p -> error_body 404 "not_found" ("no such endpoint: " ^ p)
+(* ---------------- /predict ----------------
 
-(* Dispatch wrapped with per-endpoint telemetry and a catch-all so no
-   exception ever escapes to the client as a dropped connection. *)
-let handle_request art (req : Http.request) =
-  let endpoint = if List.mem req.Http.path endpoints then req.Http.path else "other" in
-  Metrics.incr m_requests;
-  Metrics.incr (endpoint_counter endpoint);
-  let t0 = Unix.gettimeofday () in
-  let ((status, _, _) as resp) =
-    try dispatch art req
-    with e ->
-      Emc_obs.Log.warn ~src:"serve" "request handler raised: %s" (Printexc.to_string e);
-      error_body 500 "internal" "internal error; see server log"
-  in
-  Metrics.observe (latency_hist endpoint) (Unix.gettimeofday () -. t0);
-  if status >= 400 then begin
-    Metrics.incr m_errors;
-    Metrics.incr (status_counter status)
-  end;
-  resp
+   Single point or batch, coded (default) or raw space. A worker's [hot]
+   context holds everything a request would otherwise allocate: the
+   schema's arity resolved once, a reused right-arity point, a float
+   arena the request's points parse into, and the response-body buffer.
+   Each point is validated against the schema, then evaluated by
+   [Repr.eval] (which keeps no scratch of its own), and the response
+   renders straight into the buffer through [Json]'s float writer. *)
 
-(* ---------------- the allocation-lean /predict hot path ----------------
-
-   [handle_predict] above is the reference implementation: every request
-   re-closes over the representation, builds a list of freshly-allocated
-   point arrays and renders the response through a full [Json.t] tree.
-   The daemon's per-worker [hot] context hoists all of that out of the
-   request: the evaluator is compiled once ([Repr.compile] — dispatch and
-   feature-expansion scratch resolved at worker start), points parse into
-   a reused float arena, and the response renders into a reused
-   [Buffer.t] through the same [Json] float writer, so the bytes are
-   identical to the reference path (a unit test byte-compares the two
-   over singles, batches, raw space and every error shape). *)
+let max_batch = 4096
 
 type hot = {
   h_art : Artifact.t;
   h_dims : int;
-  h_predict : float array -> float;
   h_point : float array;  (* reused right-arity point *)
   mutable h_arena : float array;  (* parsed points, flattened *)
   mutable h_lens : int array;  (* per-point arity in the arena *)
@@ -515,7 +412,6 @@ let make_hot art =
   {
     h_art = art;
     h_dims = dims;
-    h_predict = Emc_regress.Repr.compile art.Artifact.repr;
     h_point = Array.make (max 1 dims) 0.0;
     h_arena = Array.make (max 256 dims) 0.0;
     h_lens = Array.make 64 0;
@@ -523,6 +419,11 @@ let make_hot art =
   }
 
 let hot_body hot = hot.h_body
+
+let set_body hot (status, content_type, body) =
+  Buffer.clear hot.h_body;
+  Buffer.add_string hot.h_body body;
+  (status, content_type)
 
 let ensure_arena hot n =
   if Array.length hot.h_arena < n then begin
@@ -626,7 +527,8 @@ let predict_into hot (req : Http.request) =
         | Error e -> Error (400, "bad_point", e)
         | Ok cx ->
             if i > 0 then Buffer.add_char hot.h_body ',';
-            Json.to_buffer hot.h_body (Json.Float (hot.h_predict cx));
+            Json.to_buffer hot.h_body
+              (Json.Float (Emc_regress.Repr.eval hot.h_art.Artifact.repr cx));
             go (i + 1)
       end
     in
@@ -636,37 +538,36 @@ let predict_into hot (req : Http.request) =
   in
   match result with
   | Ok () -> (200, "application/json")
-  | Error (st, code, msg) ->
-      let _, content_type, body = error_body st code msg in
-      Buffer.clear hot.h_body;
-      Buffer.add_string hot.h_body body;
-      (st, content_type)
+  | Error (st, code, msg) -> set_body hot (error_body st code msg)
 
-(* Like [dispatch]/[handle_request] but rendering into the hot context's
-   body buffer: /predict takes the allocation-lean path, everything else
-   goes through the reference handlers and is copied in. *)
-let dispatch_into hot (req : Http.request) =
+let dispatch hot (req : Http.request) =
+  let art = hot.h_art in
   match (req.Http.meth, req.Http.path) with
   | "POST", "/predict" -> predict_into hot req
-  | _ ->
-      let status, content_type, body = dispatch hot.h_art req in
-      Buffer.clear hot.h_body;
-      Buffer.add_string hot.h_body body;
-      (status, content_type)
+  | "GET", "/rank" | "POST", "/rank" -> set_body hot (handle_rank art req)
+  | "POST", "/search" -> set_body hot (handle_search art req)
+  | "POST", "/pareto" -> set_body hot (handle_pareto art req)
+  | "GET", "/healthz" -> set_body hot (handle_healthz art req)
+  | "GET", "/metrics" ->
+      set_body hot
+        (200, "text/plain; version=0.0.4", prometheus_of_snapshot (aggregated_snapshot ()))
+  | _, p when List.mem p endpoints ->
+      set_body hot
+        (error_body 405 "method_not_allowed" (req.Http.meth ^ " is not supported on " ^ p))
+  | _, p -> set_body hot (error_body 404 "not_found" ("no such endpoint: " ^ p))
 
+(* Dispatch wrapped with per-endpoint telemetry and a catch-all so no
+   exception ever escapes to the client as a dropped connection. *)
 let handle_into hot (req : Http.request) =
   let endpoint = if List.mem req.Http.path endpoints then req.Http.path else "other" in
   Metrics.incr m_requests;
   Metrics.incr (endpoint_counter endpoint);
   let t0 = Unix.gettimeofday () in
   let ((status, _) as resp) =
-    try dispatch_into hot req
+    try dispatch hot req
     with e ->
       Emc_obs.Log.warn ~src:"serve" "request handler raised: %s" (Printexc.to_string e);
-      let st, content_type, body = error_body 500 "internal" "internal error; see server log" in
-      Buffer.clear hot.h_body;
-      Buffer.add_string hot.h_body body;
-      (st, content_type)
+      set_body hot (error_body 500 "internal" "internal error; see server log")
   in
   Metrics.observe (latency_hist endpoint) (Unix.gettimeofday () -. t0);
   if status >= 400 then begin

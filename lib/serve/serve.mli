@@ -96,25 +96,21 @@ val prometheus_of_snapshot : Emc_obs.Metrics.snapshot -> string
 (** Render an (aggregated) snapshot — what [GET /metrics] serves after
     merging every worker's published snapshot. *)
 
-val handle_request : Emc_core.Artifact.t -> Http.request -> int * string * string
-(** [(status, content_type, body)] for one request — the reference
-    (allocating) path, exposed for tests; the daemon serves through
-    {!handle_into}, whose bytes must match this one exactly. *)
-
 type hot
-(** Per-worker serving context for the allocation-lean /predict hot
-    path: the artifact's evaluator compiled once ({!Emc_regress.Repr.compile}),
-    the schema dims resolved once, a reused point arena and a reused
-    response-body buffer. Not shareable between concurrent evaluators. *)
+(** Per-worker serving context: the artifact, its schema's arity resolved
+    once, a reused point arena and a reused response-body buffer. Not
+    shareable between concurrent request handlers. *)
 
 val make_hot : Emc_core.Artifact.t -> hot
 
 val handle_into : hot -> Http.request -> int * string
-(** [(status, content_type)] for one request, the response body rendered
-    into {!hot_body} (valid until the next call). Byte-identical to
-    {!handle_request} on every endpoint and error shape — /predict and
-    /predict_batch take the allocation-lean path, everything else goes
-    through the reference handlers. *)
+(** [(status, content_type)] for one request on any endpoint, the
+    response body rendered into {!hot_body} (valid until the next call).
+    The one request path the daemon serves through: dispatch, with
+    per-endpoint telemetry and a structured 500 for a handler that
+    raises. [/predict] parses points into the arena and evaluates them
+    with {!Emc_regress.Repr.eval}, so served predictions are the
+    in-process model's bit for bit. *)
 
 val hot_body : hot -> Buffer.t
 (** The response body rendered by the last {!handle_into}. *)

@@ -161,16 +161,22 @@ let with_server ?workers ?max_body ?read_timeout ?idle_timeout ?max_conns ?acces
 
 (* ---------------- tests ---------------- *)
 
+(* One in-process request through the daemon's request path. *)
+let handle art req =
+  let hot = Serve.make_hot art in
+  let status, ctype = Serve.handle_into hot req in
+  (status, ctype, Buffer.contents (Serve.hot_body hot))
+
 let test_routing_no_socket () =
   let art = Lazy.force artifact in
   let req meth path = { Http.meth; path; query = []; headers = []; body = "" } in
-  let status, _, _ = Serve.handle_request art (req "GET" "/nope") in
+  let status, _, _ = handle art (req "GET" "/nope") in
   ci "unknown path is 404" 404 status;
-  let status, _, body = Serve.handle_request art (req "DELETE" "/predict") in
+  let status, _, body = handle art (req "DELETE" "/predict") in
   ci "wrong method is 405" 405 status;
   cb "405 is structured" true
     (match Json.member "error" (json_of body) with Some (Json.Obj _) -> true | _ -> false);
-  let status, _, _ = Serve.handle_request art (req "GET" "/healthz") in
+  let status, _, _ = handle art (req "GET" "/healthz") in
   ci "healthz is 200" 200 status
 
 let mkreq ?(meth = "GET") ?(query = []) ?(body = "") path =
@@ -182,7 +188,7 @@ let test_rank_top_validation () =
   let art = Lazy.force artifact in
   List.iter
     (fun v ->
-      let status, _, body = Serve.handle_request art (mkreq "/rank" ~query:[ ("top", v) ]) in
+      let status, _, body = handle art (mkreq "/rank" ~query:[ ("top", v) ]) in
       ci (Printf.sprintf "top=%S is 400" v) 400 status;
       cb (Printf.sprintf "top=%S carries code bad_request" v) true
         (match Json.member "error" (json_of body) with
@@ -190,7 +196,7 @@ let test_rank_top_validation () =
         | None -> false))
     [ "abc"; "0"; "-5"; "1.5"; "" ];
   (* sane values still work *)
-  let status, _, _ = Serve.handle_request art (mkreq "/rank" ~query:[ ("top", "2") ]) in
+  let status, _, _ = handle art (mkreq "/rank" ~query:[ ("top", "2") ]) in
   ci "top=2 is 200" 200 status
 
 let test_rank_nan_coef_last () =
@@ -202,7 +208,7 @@ let test_rank_nan_coef_last () =
     { art with
       Artifact.terms = [ ("tiny", 0.5); ("broken", Float.nan); ("big", -9.0); ("mid", 3.0) ] }
   in
-  let status, _, body = Serve.handle_request art (mkreq "/rank") in
+  let status, _, body = handle art (mkreq "/rank") in
   ci "rank status" 200 status;
   match Json.member "terms" (json_of body) with
   | Some (Json.List terms) ->
@@ -220,7 +226,7 @@ let test_rank_nan_coef_last () =
 let test_pareto_requires_energy () =
   let art = Lazy.force artifact in
   let status, _, body =
-    Serve.handle_request art (mkreq ~meth:"POST" ~body:{|{"config":"typical"}|} "/pareto")
+    handle art (mkreq ~meth:"POST" ~body:{|{"config":"typical"}|} "/pareto")
   in
   ci "no energy response is 409" 409 status;
   cb "code no_energy_response" true
@@ -244,14 +250,10 @@ let test_pareto_matches_direct () =
   let energy_repr = Option.get energy.Emc_regress.Model.repr in
   let art = { art with Artifact.extra = [ ("energy", energy_repr) ] } in
   let body_in = {|{"config":"typical","seed":3,"pop_size":16,"generations":6}|} in
-  let status, _, served = Serve.handle_request art (mkreq ~meth:"POST" ~body:body_in "/pareto") in
+  let status, _, served = handle art (mkreq ~meth:"POST" ~body:body_in "/pareto") in
   ci "pareto status" 200 status;
   let params = { Emc_search.Ga.default_params with pop_size = 16; generations = 6 } in
-  let energy_model =
-    { Emc_regress.Model.technique = "energy";
-      predict = Emc_regress.Repr.eval energy_repr;
-      n_params = 0; terms = []; repr = Some energy_repr }
-  in
+  let energy_model = Option.get (Artifact.extra_model art "energy") in
   let evals_before =
     Option.value ~default:0 (Emc_obs.Metrics.counter_value "pareto.evaluations")
   in
@@ -843,59 +845,126 @@ let test_dribbling_writer_fairness () =
                 (Http.response_header r "x-request-id" = Some "dribble")
           | Error e -> Alcotest.failf "dribbled request: %s" (Http.error_to_string e))
 
-(* The allocation-lean hot path must be byte-identical to the reference
-   handler on every endpoint and error shape — run each request through
-   [handle_into] twice so scratch reuse across calls is covered too. *)
-let test_hot_path_byte_identity () =
-  let art = Lazy.force artifact in
-  let hot = Serve.make_hot art in
+(* ---------------- golden /predict bytes ---------------- *)
+
+(* A 25-input artifact over the real parameter schema with a hand-written
+   linear-with-interactions repr, every coefficient a closed-form
+   rational, so the golden table below pins the request path alone. *)
+let golden_artifact =
+  let interactions = true in
+  let beta =
+    Array.init (Emc_regress.Repr.n_features ~interactions Params.n_all) (fun i ->
+        float_of_int ((13 * i mod 17) - 8) /. 9.0)
+  in
+  { Artifact.workload = "golden"; technique = "linear+interactions"; scale = "tiny"; seed = 0;
+    train_n = 0; test_mape = None; specs = Params.all_specs;
+    repr = Emc_regress.Repr.Linear { interactions; beta; mu = 5000.0; sd = 120.0 /. 7.0 };
+    n_params = Array.length beta;
+    terms = [ ("x0", 2.5); ("x1", -7.0 /. 3.0); ("x0*x1", 0.125); ("x2", -11.0) ];
+    extra = [] }
+
+(* Singles, batches, raw space and every error shape of /predict, plus
+   one request to each of the other dispatch arms. *)
+let golden_requests =
   let dims = Params.n_all in
   let rng = Emc_util.Rng.create 11 in
   let point () =
     Json.List (List.init dims (fun _ -> Json.Float (Emc_util.Rng.float rng 2.0 -. 1.0)))
   in
-  let post body = { Http.meth = "POST"; path = "/predict"; query = []; headers = []; body } in
-  let requests =
-    [ post (Json.to_string (Json.Obj [ ("point", point ()) ]));
-      post (Json.to_string (Json.Obj [ ("points", Json.List [ point (); point (); point () ]) ]));
-      post (Json.to_string (Json.Obj [ ("points", Json.List [ point () ]) ]));
-      post
-        (Json.to_string
-           (Json.Obj [ ("point", point ()); ("space", Json.Str "raw") ]));
-      post
-        (Json.to_string
-           (Json.Obj [ ("points", Json.List [ point (); point () ]); ("space", Json.Str "raw") ]));
-      (* error shapes *)
-      post "";
-      post "{not json";
-      post (Json.to_string (Json.Obj [ ("nope", Json.Int 1) ]));
-      post (Json.to_string (Json.Obj [ ("point", Json.List [ Json.Float 0.5 ]) ]));
-      post (Json.to_string (Json.Obj [ ("point", Json.Str "banana") ]));
-      post (Json.to_string (Json.Obj [ ("points", Json.List []) ]));
-      post
-        (Json.to_string
-           (Json.Obj
-              [ ("points",
-                 Json.List [ Json.List (List.init dims (fun _ -> Json.Str "x")) ]) ]));
-      post (Json.to_string (Json.Obj [ ("point", point ()); ("space", Json.Str "warped") ]));
-      { Http.meth = "GET"; path = "/predict"; query = []; headers = []; body = "" };
-      { Http.meth = "GET"; path = "/nope"; query = []; headers = []; body = "" };
-      { Http.meth = "GET"; path = "/rank"; query = [ ("top", "2") ]; headers = []; body = "" };
-      { Http.meth = "GET"; path = "/healthz"; query = []; headers = []; body = "" };
-    ]
+  (* admissible raw levels, so raw-space requests code to finite points *)
+  let raw_point () =
+    Json.List
+      (Array.to_list
+         (Array.map
+            (fun s -> Json.Float (Emc_util.Rng.choice rng s.Params.levels))
+            Params.all_specs))
   in
+  let post body = { Http.meth = "POST"; path = "/predict"; query = []; headers = []; body } in
+  [ post (Json.to_string (Json.Obj [ ("point", point ()) ]));
+    post (Json.to_string (Json.Obj [ ("points", Json.List [ point (); point (); point () ]) ]));
+    post (Json.to_string (Json.Obj [ ("points", Json.List [ point () ]) ]));
+    post (Json.to_string (Json.Obj [ ("point", raw_point ()); ("space", Json.Str "raw") ]));
+    post
+      (Json.to_string
+         (Json.Obj
+            [ ("points", Json.List [ raw_point (); raw_point () ]); ("space", Json.Str "raw") ]));
+    (* error shapes *)
+    post "";
+    post "{not json";
+    post (Json.to_string (Json.Obj [ ("nope", Json.Int 1) ]));
+    post (Json.to_string (Json.Obj [ ("point", Json.List [ Json.Float 0.5 ]) ]));
+    post (Json.to_string (Json.Obj [ ("point", Json.Str "banana") ]));
+    post (Json.to_string (Json.Obj [ ("points", Json.List []) ]));
+    post
+      (Json.to_string
+         (Json.Obj
+            [ ("points", Json.List [ Json.List (List.init dims (fun _ -> Json.Str "x")) ]) ]));
+    post (Json.to_string (Json.Obj [ ("point", point ()); ("space", Json.Str "warped") ]));
+    { Http.meth = "GET"; path = "/predict"; query = []; headers = []; body = "" };
+    { Http.meth = "GET"; path = "/nope"; query = []; headers = []; body = "" };
+    { Http.meth = "GET"; path = "/rank"; query = [ ("top", "2") ]; headers = []; body = "" };
+    { Http.meth = "GET"; path = "/healthz"; query = []; headers = []; body = "" } ]
+
+(* Status, content type and body (less its final newline) of each
+   golden request. Generated at commit 0c6de77, where the since-deleted
+   reference handler (list-of-points parse, [Json.t] rendering) and the
+   arena path [handle_into] both produced exactly these bytes; it is the
+   oracle that the one request path keeps them. *)
+let golden_responses =
+  [
+    (200, "application/json",
+     {|{"prediction":4951.3409497987814}|});
+    (200, "application/json",
+     {|{"predictions":[4939.7437681532683,5023.2959180363441,5033.1776776303504]}|});
+    (200, "application/json",
+     {|{"predictions":[4971.1535021905038]}|});
+    (200, "application/json",
+     {|{"prediction":5092.5910052910049}|});
+    (200, "application/json",
+     {|{"predictions":[5020.1291005291005,5068.5396825396829]}|});
+    (400, "application/json",
+     {|{"error":{"code":"bad_json","message":"malformed JSON body: unexpected end of input at offset 0"}}|});
+    (400, "application/json",
+     {|{"error":{"code":"bad_json","message":"malformed JSON body: expected '\"' at offset 1"}}|});
+    (400, "application/json",
+     {|{"error":{"code":"bad_request","message":"body must carry \"point\" or \"points\""}}|});
+    (400, "application/json",
+     {|{"error":{"code":"bad_point","message":"expected 25 coded values, got 1"}}|});
+    (400, "application/json",
+     {|{"error":{"code":"bad_request","message":"each point must be a list of numbers"}}|});
+    (200, "application/json",
+     {|{"predictions":[]}|});
+    (400, "application/json",
+     {|{"error":{"code":"bad_request","message":"malformed number \"x\""}}|});
+    (400, "application/json",
+     {|{"error":{"code":"bad_request","message":"unknown space \"warped\" (want \"coded\" or \"raw\")"}}|});
+    (405, "application/json",
+     {|{"error":{"code":"method_not_allowed","message":"GET is not supported on /predict"}}|});
+    (404, "application/json",
+     {|{"error":{"code":"not_found","message":"no such endpoint: /nope"}}|});
+    (200, "application/json",
+     {|{"technique":"linear+interactions","terms":[{"term":"x2","coef":-11},{"term":"x0","coef":2.5}]}|});
+    (200, "application/json",
+     {|{"status":"ok","workload":"golden","technique":"linear+interactions","dims":25,"format_version":1}|});
+  ]
+
+(* Each request runs twice through one context, so arena and buffer
+   reuse across calls is covered too. *)
+let test_golden_responses () =
+  let hot = Serve.make_hot golden_artifact in
+  ci "one golden response per request" (List.length golden_requests)
+    (List.length golden_responses);
   List.iteri
-    (fun i req ->
-      let status_ref, ctype_ref, body_ref = Serve.handle_request art req in
+    (fun i (req, (want_status, want_ctype, want_body)) ->
       for pass = 1 to 2 do
         let status, ctype = Serve.handle_into hot req in
         let tag = Printf.sprintf "request %d pass %d" i pass in
-        ci (tag ^ ": status") status_ref status;
-        Alcotest.(check string) (tag ^ ": content type") ctype_ref ctype;
-        Alcotest.(check string) (tag ^ ": body bytes") body_ref
+        ci (tag ^ ": status") want_status status;
+        Alcotest.(check string) (tag ^ ": content type") want_ctype ctype;
+        Alcotest.(check string) (tag ^ ": body bytes") (want_body ^ "\n")
           (Buffer.contents (Serve.hot_body hot))
       done)
-    requests
+    (List.combine golden_requests golden_responses)
 
 (* ---------------- incremental parsing ---------------- *)
 
@@ -1099,6 +1168,6 @@ let suite =
       test_stalled_reader_fairness;
     Alcotest.test_case "mux: dribbling writer cannot pin the worker" `Quick
       test_dribbling_writer_fairness;
-    Alcotest.test_case "hot path bytes equal the reference handler" `Quick
-      test_hot_path_byte_identity;
+    Alcotest.test_case "handle_into matches golden responses" `Quick
+      test_golden_responses;
   ]
